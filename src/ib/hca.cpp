@@ -8,7 +8,7 @@
 namespace ibwan::ib {
 
 Hca::Hca(net::Node& node, HcaConfig config)
-    : node_(node), config_(config) {
+    : node_(node), rx_lane_(node.sim().make_lane()), config_(config) {
   node_.set_receiver([this](net::Packet&& p) { on_node_packet(std::move(p)); });
   auto& m = sim().metrics();
   const std::string scope = "node" + std::to_string(lid()) + "/ib.hca";
@@ -94,7 +94,7 @@ void Hca::on_node_packet(net::Packet&& p) {
   auto payload =
       std::static_pointer_cast<const IbPacket>(std::move(p.payload));
   const Lid src = p.src;
-  s.schedule_at(start, [this, payload = std::move(payload), src] {
+  rx_lane_.schedule_at(start, [this, payload = std::move(payload), src] {
     auto it = qp_index_.find(payload->dst_qpn);
     if (it == qp_index_.end()) {
       ++stats_.pkts_unroutable;

@@ -74,6 +74,8 @@ class Hca {
   void tx_drain();
 
   net::Node& node_;
+  // Receive processing starts are strictly increasing (rx_busy_).
+  sim::Simulator::Lane& rx_lane_;
   HcaConfig config_;
   std::vector<std::unique_ptr<QpBase>> qps_;
   std::unordered_map<Qpn, QpBase*> qp_index_;

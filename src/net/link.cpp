@@ -13,7 +13,10 @@ using sim::MetricUnit;
 using sim::TraceKind;
 
 Link::Link(sim::Simulator& sim, Config config, std::string name)
-    : sim_(sim), config_(config), name_(std::move(name)) {
+    : sim_(sim),
+      deliver_lane_(sim.make_lane()),
+      config_(config),
+      name_(std::move(name)) {
   assert(config_.bytes_per_ns > 0.0);
   auto& m = sim_.metrics();
   const std::string scope = name_ + "/net.link";
@@ -108,33 +111,6 @@ void Link::drop_down(const Packet& p) {
                          p.wire_size, /*c=*/4);
 }
 
-std::shared_ptr<Packet> Link::alloc_packet(Packet&& p) {
-  // Site-local links churn through one shared_ptr<Packet> per packet on
-  // the serialize->deliver hot path; recycling the control block
-  // removes that allocation. Channel-mode (LP-boundary) packets are
-  // excluded: the destination site drops its reference on another
-  // thread, so handing the pointer back to this link's pool would race.
-  // A pooled entry is reusable only once every lambda that captured it
-  // has run (use_count back to 1).
-  if (channel_ == nullptr && !pkt_pool_.empty() &&
-      pkt_pool_.back().use_count() == 1) {
-    std::shared_ptr<Packet> sp = std::move(pkt_pool_.back());
-    pkt_pool_.pop_back();
-    *sp = std::move(p);
-    return sp;
-  }
-  return std::make_shared<Packet>(std::move(p));
-}
-
-void Link::recycle_packet(const std::shared_ptr<Packet>& pkt) {
-  if (channel_ != nullptr || pkt_pool_.size() >= kPktPoolCap) return;
-  // Drop payload/callback references now so pooling a packet never pins
-  // application data beyond its delivery.
-  pkt->payload.reset();
-  pkt->on_serialized = nullptr;
-  pkt_pool_.push_back(pkt);
-}
-
 void Link::deliver_via_channel(const std::shared_ptr<Packet>& pkt,
                                sim::Duration delay) {
   const sim::Time arrival = sim_.now() + delay;
@@ -183,7 +159,7 @@ void Link::start_next() {
     return;
   }
   busy_ = true;
-  auto pkt = alloc_packet(std::move(q->front()));
+  auto pkt = pkt_pool_.alloc(std::move(q->front()));
   q->pop_front();
   const sim::Duration ser = sim::duration_ceil(
       static_cast<double>(pkt->wire_size) / config_.bytes_per_ns);
@@ -239,7 +215,7 @@ void Link::start_next() {
         deliver_via_channel(pkt, delay);
       } else {
         const std::uint64_t fly_epoch = down_epoch_;
-        sim_.schedule(delay, [this, pkt, fly_epoch] {
+        deliver_lane_.schedule(delay, [this, pkt, fly_epoch] {
           if (fly_epoch != down_epoch_) {
             // A flap killed the packet mid-flight, even if the link is
             // already back up by now.
@@ -254,7 +230,9 @@ void Link::start_next() {
           stats_.bytes_delivered += pkt->wire_size;
           obs_.pkts_delivered->add();
           obs_.bytes_delivered->add(pkt->wire_size);
-          Packet delivered = *pkt;
+          // The pool's pointer is the sole owner here (unlike the shared
+          // channel packet above), so move rather than copy.
+          Packet delivered = std::move(*pkt);
           delivered.on_serialized = nullptr;
           recycle_packet(pkt);
           sink_(std::move(delivered));

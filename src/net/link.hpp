@@ -141,8 +141,12 @@ class Link {
   void drop_down(const Packet& p);
   void deliver_via_channel(const std::shared_ptr<Packet>& pkt,
                            sim::Duration delay);
-  std::shared_ptr<Packet> alloc_packet(Packet&& p);
-  void recycle_packet(const std::shared_ptr<Packet>& pkt);
+  /// Channel-mode (LP-boundary) links never pool: the destination site
+  /// drops its reference on another thread, so handing the pointer back
+  /// to this link's pool would race. Their pool therefore stays empty.
+  void recycle_packet(const std::shared_ptr<Packet>& pkt) {
+    if (channel_ == nullptr) pkt_pool_.recycle(pkt);
+  }
 
   // Registered metrics (docs/METRICS.md §net.link); scope "<name>/net.link".
   struct Obs {
@@ -164,6 +168,10 @@ class Link {
   };
 
   sim::Simulator& sim_;
+  /// Local deliveries. Serialization ends in order, so arrival times only
+  /// go backwards under jitter or a set_extra_delay cut, which the lane
+  /// turns into plain events.
+  sim::Simulator::Lane& deliver_lane_;
   Config config_;
   std::string name_;
   Obs obs_;
@@ -182,10 +190,7 @@ class Link {
   sim::Duration extra_delay_ = 0;
   sim::SiteEngine::Channel* channel_ = nullptr;
   std::vector<sim::Time> down_starts_;
-  /// Recycled packet allocations (site-local links only; see
-  /// Link::alloc_packet). Bounded so a burst cannot pin memory forever.
-  static constexpr std::size_t kPktPoolCap = 256;
-  std::vector<std::shared_ptr<Packet>> pkt_pool_;
+  PacketPool pkt_pool_{256};
   Stats stats_;
 };
 

@@ -6,9 +6,11 @@
 // library, since TCP/IPoIB rides on IB).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <vector>
 
 namespace ibwan::net {
 
@@ -35,6 +37,40 @@ struct Packet {
   const T& as() const {
     return *static_cast<const T*>(payload.get());
   }
+};
+
+/// Recycled shared_ptr<Packet> allocations. Links, switches and Longbows
+/// park each packet on the heap for a scheduled callback; reusing the
+/// control block removes an allocation per packet. Bounded so a burst
+/// cannot pin memory forever.
+class PacketPool {
+ public:
+  explicit PacketPool(std::size_t cap) : cap_(cap) {}
+
+  /// A pooled entry is reusable only once every callback that captured
+  /// it has run (use_count back to 1).
+  std::shared_ptr<Packet> alloc(Packet&& p) {
+    if (!pool_.empty() && pool_.back().use_count() == 1) {
+      std::shared_ptr<Packet> sp = std::move(pool_.back());
+      pool_.pop_back();
+      *sp = std::move(p);
+      return sp;
+    }
+    return std::make_shared<Packet>(std::move(p));
+  }
+
+  void recycle(const std::shared_ptr<Packet>& pkt) {
+    if (pool_.size() >= cap_) return;
+    // Drop payload/callback references now so pooling a packet never pins
+    // application data beyond its delivery.
+    pkt->payload.reset();
+    pkt->on_serialized = nullptr;
+    pool_.push_back(pkt);
+  }
+
+ private:
+  std::size_t cap_;
+  std::vector<std::shared_ptr<Packet>> pool_;
 };
 
 }  // namespace ibwan::net

@@ -9,30 +9,6 @@
 
 namespace ibwan::net {
 
-std::shared_ptr<Packet> Switch::alloc_packet(Packet&& p) {
-  // Same recycling scheme as Link::alloc_packet: the hop-delay callback
-  // needs the packet on the heap, and reusing one control block per
-  // in-flight hop removes an allocation per forwarded packet. A pooled
-  // entry is reusable only once the lambda that captured it has run
-  // (use_count back to 1).
-  if (!pkt_pool_.empty() && pkt_pool_.back().use_count() == 1) {
-    std::shared_ptr<Packet> sp = std::move(pkt_pool_.back());
-    pkt_pool_.pop_back();
-    *sp = std::move(p);
-    return sp;
-  }
-  return std::make_shared<Packet>(std::move(p));
-}
-
-void Switch::recycle_packet(const std::shared_ptr<Packet>& pkt) {
-  if (pkt_pool_.size() >= kPktPoolCap) return;
-  // Drop payload/callback references now so pooling a packet never pins
-  // application data beyond its delivery.
-  pkt->payload.reset();
-  pkt->on_serialized = nullptr;
-  pkt_pool_.push_back(pkt);
-}
-
 void Switch::receive_wan(int edge, Packet&& p) {
   wan_buf_.emplace_back(edge, std::move(p));
   if (!wan_flush_pending_) {
@@ -77,10 +53,10 @@ void Switch::receive(Packet&& p) {
   ++forwarded_;
   obs_forwarded_->add();
   Link* out = ports_[port];
-  auto shared = alloc_packet(std::move(p));
-  sim_.schedule(hop_latency_, [this, out, shared] {
+  auto shared = pkt_pool_.alloc(std::move(p));
+  hop_lane_.schedule(hop_latency_, [this, out, shared] {
     Packet fwd = std::move(*shared);
-    recycle_packet(shared);
+    pkt_pool_.recycle(shared);
     out->send(std::move(fwd));
   });
 }

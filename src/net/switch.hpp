@@ -16,7 +16,10 @@ namespace ibwan::net {
 class Switch {
  public:
   Switch(sim::Simulator& sim, std::string name, sim::Duration hop_latency)
-      : sim_(sim), name_(std::move(name)), hop_latency_(hop_latency) {
+      : sim_(sim),
+        hop_lane_(sim.make_lane()),
+        name_(std::move(name)),
+        hop_latency_(hop_latency) {
     auto& m = sim_.metrics();
     const std::string scope = name_ + "/net.switch";
     obs_forwarded_ =
@@ -63,11 +66,10 @@ class Switch {
   std::uint64_t drops_no_route() const { return drops_no_route_; }
 
  private:
-  std::shared_ptr<Packet> alloc_packet(Packet&& p);
-  void recycle_packet(const std::shared_ptr<Packet>& pkt);
   void flush_wan();
 
   sim::Simulator& sim_;
+  sim::Simulator::Lane& hop_lane_;  // fixed hop latency: monotone
   std::string name_;
   sim::Duration hop_latency_;
   std::vector<Link*> ports_;
@@ -82,11 +84,9 @@ class Switch {
   /// so a misrouted incast logs O(log drops) lines instead of one per
   /// packet.
   static constexpr std::uint64_t kNoRouteWarnLimit = 8;
-  /// Recycled forward allocations (switch hops are always site-local,
-  /// so unlike Link there is no channel-mode exclusion). Bounded so a
-  /// burst cannot pin memory forever.
-  static constexpr std::size_t kPktPoolCap = 64;
-  std::vector<std::shared_ptr<Packet>> pkt_pool_;
+  /// Switch hops are always site-local, so unlike Link there is no
+  /// channel-mode exclusion.
+  PacketPool pkt_pool_{64};
   /// Same-instant WAN ingress buffer (receive_wan): drained by a flush
   /// event scheduled at the arrival instant.
   std::vector<std::pair<int, Packet>> wan_buf_;

@@ -17,8 +17,12 @@ void Longbow::forward(Packet&& p, Link* out) {
     return;
   }
   obs_forwarded_->add();
-  auto shared = std::make_shared<Packet>(std::move(p));
-  sim_.schedule(latency_, [out, shared] { out->send(std::move(*shared)); });
+  auto shared = pkt_pool_.alloc(std::move(p));
+  lane_.schedule(latency_, [this, out, shared] {
+    Packet fwd = std::move(*shared);
+    pkt_pool_.recycle(shared);
+    out->send(std::move(fwd));
+  });
 }
 
 LongbowPair::LongbowPair(sim::Simulator& sim_a, sim::Simulator& sim_b,

@@ -25,7 +25,10 @@ class Longbow {
  public:
   Longbow(sim::Simulator& sim, std::string name,
           sim::Duration pipeline_latency)
-      : sim_(sim), name_(std::move(name)), latency_(pipeline_latency) {
+      : sim_(sim),
+        lane_(sim.make_lane()),
+        name_(std::move(name)),
+        latency_(pipeline_latency) {
     auto& m = sim_.metrics();
     obs_forwarded_ = &m.counter(name_ + "/net.wan", "pkts_forwarded",
                                 sim::MetricUnit::kPackets);
@@ -52,8 +55,10 @@ class Longbow {
   void forward(Packet&& p, Link* out);
 
   sim::Simulator& sim_;
+  sim::Simulator::Lane& lane_;  // fixed pipeline latency: monotone
   std::string name_;
   sim::Duration latency_;
+  PacketPool pkt_pool_{64};
   Link* lan_tx_ = nullptr;
   Link* wan_tx_ = nullptr;
   std::uint64_t drops_no_port_ = 0;

@@ -6,7 +6,8 @@
 // MPI progress) is driven by this one clock.
 //
 // Two structures back the queue, both feeding off one slot pool that
-// stores the callbacks:
+// stores the callbacks, and lanes keep most per-packet events out of
+// them:
 //
 //   - an indexed 4-ary min-heap over (time, seq) for future events.
 //     Heap entries are 16-byte PODs (time, seq|slot packed), so the four
@@ -22,6 +23,12 @@
 //     global sequence number keeps their ordering against heap events
 //     bit-for-bit identical to a single queue.
 //
+//   - FIFO lanes (Simulator::Lane) for per-packet streams whose times
+//     never decrease — a link's deliveries, a fixed-latency hop. Only a
+//     lane's head is queued; the rest wait in the lane with the sequence
+//     number they took at schedule time, so a long WAN pipe with
+//     thousands of packets in flight keeps the heap small.
+//
 // Freed slots recycle through a free list and callbacks are
 // InlineFunction (see inline_function.hpp), so steady-state traffic —
 // schedule/fire/cancel churn with captures up to 48 bytes — runs with
@@ -32,6 +39,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <deque>
+#include <memory>
 #include <string_view>
 #include <type_traits>
 #include <utility>
@@ -54,6 +63,77 @@ class Simulator {
  public:
   using Callback = InlineFunction;
 
+  /// An engine-owned FIFO of events whose times never decrease. Only
+  /// the head sits in the heap; when it fires, the next entry enters the
+  /// heap with the (time, seq) key it took at schedule time. Each lane's
+  /// head is its minimum, so the heap top stays the global minimum and
+  /// firing order is bit-identical to scheduling every entry directly.
+  /// Lane events cannot be cancelled.
+  class Lane {
+   public:
+    Lane(const Lane&) = delete;
+    Lane& operator=(const Lane&) = delete;
+
+    /// Same contract as Simulator::schedule_at. A time earlier than the
+    /// lane's tail (WAN jitter, a delay cut mid-run) falls back to a
+    /// plain event with the same sequence number.
+    template <typename F>
+    void schedule_at(Time t, F&& cb) {
+      if (!head_pending_) {
+        // An idle lane's event is an ordinary one (heap or same-instant
+        // FIFO) whose key carries the lane flag, so firing it promotes.
+        head_pending_ = true;
+        tail_ = t;
+        const std::uint32_t slot = sim_.store(std::forward<F>(cb));
+        sim_.enqueue(t, sim_.lane_key(sim_.take_seq(), slot, this));
+      } else if (t < tail_) {
+        sim_.schedule_at(t, std::forward<F>(cb));
+      } else {
+        tail_ = t;
+        Entry& e = q_.emplace_back();
+        e.time = t;
+        e.seq = sim_.take_seq();
+        e.cb.emplace(std::forward<F>(cb));
+        ++sim_.lane_backlog_;
+      }
+    }
+
+    template <typename F>
+    void schedule(Duration delay, F&& cb) {
+      schedule_at(sim_.now_ + delay, std::forward<F>(cb));
+    }
+
+   private:
+    friend class Simulator;
+    explicit Lane(Simulator& sim) : sim_(sim) {}
+
+    struct Entry {
+      Time time = 0;
+      std::uint64_t seq = 0;
+      Callback cb;
+    };
+
+    /// The head just fired: the next entry goes straight into the heap,
+    /// never the same-instant FIFO, whose keys must stay in append order
+    /// (fire_one() orders a heap entry against the FIFO front by key).
+    void promote() {
+      if (q_.empty()) {
+        head_pending_ = false;
+        return;
+      }
+      Entry& e = q_.front();
+      const std::uint32_t slot = sim_.store(std::move(e.cb));
+      sim_.heap_push(HeapEntry{e.time, sim_.lane_key(e.seq, slot, this)});
+      q_.pop_front();
+      --sim_.lane_backlog_;
+    }
+
+    Simulator& sim_;
+    std::deque<Entry> q_;  // entries behind the head
+    Time tail_ = 0;        // latest time in the lane, head included
+    bool head_pending_ = false;
+  };
+
   Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
@@ -71,32 +151,15 @@ class Simulator {
   /// Schedules `cb` at absolute time `t` (must not be in the past).
   template <class F>
   EventId schedule_at(Time t, F&& cb) {
-    assert(t >= now_ && "cannot schedule into the past");
-    const std::uint32_t slot = alloc_slot();
-    Slot& s = slots_[slot];
-    if constexpr (std::is_same_v<std::decay_t<F>, Callback>) {
-      s.cb = std::forward<F>(cb);
-    } else {
-      s.cb.emplace(std::forward<F>(cb));
-    }
-    const std::uint64_t seq = next_seq_++;
-    assert(seq < (1ull << kSeqBits) && "event sequence space exhausted");
-    const std::uint64_t key = (seq << kSlotBits) | slot;
-    if (t == now_) {
-      // Same-instant dispatch: O(1) FIFO append, no heap traffic. The
-      // FIFO only ever holds events for the current instant — the heap
-      // is never fired past a live FIFO entry, so time cannot advance
-      // while one is pending.
-      assert(fifo_head_ == fifo_.size() || fifo_time_ == now_);
-      fifo_time_ = now_;
-      s.pos = kInFifo;
-      fifo_.push_back(FifoEntry{key, s.gen});
-      ++fifo_live_;
-    } else {
-      heap_.emplace_back();  // open a hole; sift_up fills it
-      sift_up(heap_.size() - 1, HeapEntry{t, key});
-    }
-    return make_id(slot, s.gen);
+    const std::uint32_t slot = store(std::forward<F>(cb));
+    enqueue(t, (take_seq() << kSlotBits) | slot);
+    return make_id(slot, slots_[slot].gen);
+  }
+
+  /// A new FIFO lane, owned by (and living as long as) this simulator.
+  Lane& make_lane() {
+    lanes_.push_back(std::unique_ptr<Lane>(new Lane(*this)));
+    return *lanes_.back();
   }
 
   /// Cancels a pending event in place (O(log n) for future events, O(1)
@@ -177,8 +240,11 @@ class Simulator {
   /// Number of events executed so far (for performance reporting).
   std::uint64_t events_executed() const { return executed_; }
 
-  /// Number of events currently pending (cancelled events excluded).
-  std::size_t pending() const { return heap_.size() + fifo_live_; }
+  /// Number of events currently pending (cancelled events excluded),
+  /// including those waiting behind a lane head.
+  std::size_t pending() const {
+    return heap_.size() + fifo_live_ + lane_backlog_;
+  }
 
   /// Total callback slots ever allocated. Bounded by the maximum number
   /// of *concurrently* pending events — it must not grow with the number
@@ -220,12 +286,14 @@ class Simulator {
   FlightRecorder& recorder() { return recorder_; }
 
  private:
-  // seq gets 40 bits (~10^12 events per run), slot 24 (16M concurrently
-  // pending events). seq is unique, so the packed key's slot bits never
-  // influence ordering; they just ride along to keep the entry at 16 B.
+  // seq gets 40 bits (~10^12 events per run); the low 24 hold a lane
+  // flag and the slot (8M concurrently pending events). seq is unique, so
+  // the low bits never influence ordering; they just ride along to keep
+  // the entry at 16 B.
   static constexpr unsigned kSlotBits = 24;
   static constexpr unsigned kSeqBits = 64 - kSlotBits;
-  static constexpr std::uint32_t kSlotMask = (1u << kSlotBits) - 1;
+  static constexpr std::uint32_t kLaneBit = 1u << (kSlotBits - 1);
+  static constexpr std::uint32_t kSlotMask = kLaneBit - 1;
   static constexpr std::uint32_t kNone = 0xffffffffu;
   static constexpr std::uint32_t kInFifo = 0xfffffffeu;
   static constexpr Time kNoEvent = ~Time{0};
@@ -254,6 +322,54 @@ class Simulator {
 
   static EventId make_id(std::uint32_t slot, std::uint32_t gen) {
     return (static_cast<EventId>(gen) << 32) | slot;
+  }
+
+  std::uint64_t take_seq() {
+    assert(next_seq_ < (1ull << kSeqBits) && "event sequence space exhausted");
+    return next_seq_++;
+  }
+
+  /// Puts `cb` in a free slot; returns the slot.
+  template <typename F>
+  std::uint32_t store(F&& cb) {
+    const std::uint32_t slot = alloc_slot();
+    if constexpr (std::is_same_v<std::decay_t<F>, Callback>) {
+      slots_[slot].cb = std::forward<F>(cb);
+    } else {
+      slots_[slot].cb.emplace(std::forward<F>(cb));
+    }
+    return slot;
+  }
+
+  /// Queues the stored event `key` at time `t`.
+  void enqueue(Time t, std::uint64_t key) {
+    assert(t >= now_ && "cannot schedule into the past");
+    if (t == now_) {
+      // Same-instant dispatch: O(1) FIFO append, no heap traffic. The
+      // FIFO only ever holds events for the current instant — the heap
+      // is never fired past a live FIFO entry, so time cannot advance
+      // while one is pending.
+      assert(fifo_head_ == fifo_.size() || fifo_time_ == now_);
+      fifo_time_ = now_;
+      Slot& s = slots_[static_cast<std::uint32_t>(key) & kSlotMask];
+      s.pos = kInFifo;
+      fifo_.push_back(FifoEntry{key, s.gen});
+      ++fifo_live_;
+    } else {
+      heap_push(HeapEntry{t, key});
+    }
+  }
+
+  void heap_push(const HeapEntry& e) {
+    heap_.emplace_back();  // open a hole; sift_up fills it
+    sift_up(heap_.size() - 1, e);
+  }
+
+  /// Key of a lane head; records which lane to promote when it fires.
+  std::uint64_t lane_key(std::uint64_t seq, std::uint32_t slot, Lane* lane) {
+    if (slot >= slot_lane_.size()) slot_lane_.resize(slots_.size());
+    slot_lane_[slot] = lane;
+    return (seq << kSlotBits) | kLaneBit | slot;
   }
 
   static bool earlier(const HeapEntry& a, const HeapEntry& b) {
@@ -290,6 +406,7 @@ class Simulator {
         assert(fifo_time_ == now_);
         Callback cb = std::move(s.cb);
         free_slot(slot);
+        if (e.key & kLaneBit) slot_lane_[slot]->promote();
         ++executed_;
         cb();
         return;
@@ -397,8 +514,10 @@ class Simulator {
     if (!heap_.empty()) sift_down(0, moved);
     // Free before invoking so (a) the callback can recycle the slot for
     // events it schedules and (b) cancel() of the firing event's own id
-    // from inside the callback is a generation-checked no-op.
+    // from inside the callback is a generation-checked no-op. A lane
+    // head hands its place to the next entry before it runs.
     free_slot(slot);
+    if (top.key & kLaneBit) slot_lane_[slot]->promote();
     ++executed_;
     cb();
   }
@@ -410,6 +529,9 @@ class Simulator {
   Time fifo_time_ = 0;
   std::vector<Slot> slots_;
   std::uint32_t free_head_ = kNone;
+  std::vector<std::unique_ptr<Lane>> lanes_;
+  std::vector<Lane*> slot_lane_;  // lane of each lane-head slot
+  std::size_t lane_backlog_ = 0;  // lane entries behind their heads
   Time now_ = 0;
   std::uint64_t next_seq_ = 1;
   std::uint64_t executed_ = 0;

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <functional>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -301,6 +304,144 @@ TEST(Simulator, ManyEventsStressOrdering) {
       EXPECT_LT(fired[i - 1].second, fired[i].second);  // insertion order
     }
   }
+}
+
+// Runs one seeded random script of schedule(), schedule(0), cancel() and
+// lane pushes. With `use_lanes` false every lane push becomes a plain
+// schedule_at() at the same time, which is the ordering oracle.
+class LaneScript {
+ public:
+  using Fired = std::tuple<Time, int, std::size_t>;  // now, label, pending
+
+  LaneScript(std::uint64_t seed, bool use_lanes) : use_lanes_(use_lanes) {
+    sim_.seed(seed);
+    for (auto& lane : lanes_) lane = &sim_.make_lane();
+  }
+
+  std::vector<Fired> run() {
+    for (int i = 0; i < 64; ++i) op();
+    sim_.run();
+    return fired_;
+  }
+
+  std::uint64_t events() const { return sim_.events_executed(); }
+
+ private:
+  static constexpr int kBudget = 6000;
+
+  auto body(int label) {
+    return [this, label] {
+      fired_.emplace_back(sim_.now(), label, sim_.pending());
+      const auto n = sim_.rng().uniform(0, 3);
+      for (std::uint64_t i = 0; i < n && next_label_ < kBudget; ++i) op();
+    };
+  }
+
+  void op() {
+    Rng& r = sim_.rng();
+    const int label = next_label_++;
+    switch (r.uniform(0, 5)) {
+      case 0:
+        ids_.push_back(sim_.schedule(r.uniform(1, 40), body(label)));
+        break;
+      case 1:
+        ids_.push_back(sim_.schedule(0, body(label)));
+        break;
+      case 2:
+        if (!ids_.empty()) sim_.cancel(ids_[r.uniform(0, ids_.size() - 1)]);
+        break;
+      default: {
+        const auto k = r.uniform(0, lanes_.size() - 1);
+        Time t;
+        if (r.chance(0.75)) {
+          // In order, often tied with the tail or with now().
+          t = std::max(sim_.now(), tail_[k]) + r.uniform(0, 4);
+        } else {
+          // Anywhere ahead of now(), so sometimes before the tail.
+          t = sim_.now() + r.uniform(0, 30);
+        }
+        tail_[k] = std::max(tail_[k], t);
+        if (use_lanes_) {
+          lanes_[k]->schedule_at(t, body(label));
+        } else {
+          sim_.schedule_at(t, body(label));
+        }
+      }
+    }
+  }
+
+  Simulator sim_;
+  bool use_lanes_;
+  std::array<Simulator::Lane*, 3> lanes_{};
+  std::array<Time, 3> tail_{};
+  std::vector<EventId> ids_;
+  std::vector<Fired> fired_;
+  int next_label_ = 0;
+};
+
+TEST(SimulatorLane, RandomScriptFiresExactlyAsPlainSchedule) {
+  for (std::uint64_t seed : {1u, 2u, 3u, 42u, 1337u}) {
+    LaneScript lanes(seed, /*use_lanes=*/true);
+    LaneScript plain(seed, /*use_lanes=*/false);
+    const auto a = lanes.run();
+    const auto b = plain.run();
+    ASSERT_GT(b.size(), 1000u) << "seed " << seed;
+    EXPECT_EQ(a, b) << "seed " << seed;
+    EXPECT_EQ(lanes.events(), plain.events()) << "seed " << seed;
+  }
+}
+
+TEST(SimulatorLane, PendingCountsLaneBacklog) {
+  Simulator sim;
+  Simulator::Lane& lane = sim.make_lane();
+  lane.schedule(10, [] {});
+  lane.schedule(20, [] {});
+  lane.schedule(20, [] {});
+  EXPECT_EQ(sim.pending(), 3u);
+  sim.schedule(15, [] {});
+  EXPECT_EQ(sim.pending(), 4u);
+  ASSERT_TRUE(sim.step());  // lane head at 10
+  EXPECT_EQ(sim.pending(), 3u);
+  sim.run();
+  EXPECT_EQ(sim.pending(), 0u);
+  EXPECT_EQ(sim.events_executed(), 4u);
+}
+
+TEST(SimulatorLane, OutOfOrderPushFallsBackToPlainEvent) {
+  Simulator sim;
+  Simulator::Lane& lane = sim.make_lane();
+  std::vector<int> order;
+  lane.schedule_at(50, [&] { order.push_back(50); });
+  lane.schedule_at(20, [&] { order.push_back(20); });  // before the tail
+  lane.schedule_at(50, [&] { order.push_back(51); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{20, 50, 51}));
+  EXPECT_EQ(sim.now(), 50u);
+}
+
+TEST(SimulatorLane, HorizonStopsExactlyAtLaneHead) {
+  // The site-parallel engine's window loop: run_events_before(h) must
+  // leave a lane entry at exactly h unfired, and peek_next_time() must
+  // see the promoted head.
+  Simulator sim;
+  Simulator::Lane& lane = sim.make_lane();
+  std::vector<Time> fired;
+  auto rec = [&] { fired.push_back(sim.now()); };
+  lane.schedule_at(100, rec);
+  lane.schedule_at(100, rec);
+  lane.schedule_at(200, rec);
+  lane.schedule_at(300, rec);
+  sim.schedule_at(150, rec);
+  EXPECT_EQ(sim.run_events_before(100), 0u);
+  EXPECT_EQ(sim.run_events_before(200), 3u);
+  EXPECT_EQ(sim.now(), 150u);
+  EXPECT_EQ(sim.peek_next_time(), 200u);
+  EXPECT_EQ(sim.pending(), 2u);
+  EXPECT_TRUE(sim.run_until(200));
+  EXPECT_EQ(sim.now(), 200u);
+  EXPECT_EQ(sim.peek_next_time(), 300u);
+  EXPECT_FALSE(sim.run_until(300));
+  EXPECT_EQ(fired, (std::vector<Time>{100, 100, 150, 200, 300}));
 }
 
 TEST(DurationCeil, RoundsUpFractionalNanoseconds) {
