@@ -87,7 +87,7 @@ sim::Coro<rpc::ReplyInfo> ReplicaServer::dispatch(
     out.data_to_client = rep->value_bytes;
   } else {
     // Monotone last-writer-wins apply: replayed or reordered writes
-    // (RPC-level retries, read repair racing a newer write) can never
+    // (retried quorum attempts, read repair racing a newer write) can never
     // roll a key's version back.
     Slot& slot = store_[args.key];
     if (args.version > slot.version) {

@@ -29,7 +29,9 @@ bool partitionable(const sim::SiteEngine& engine, const TopologyConfig& topo) {
 
 std::string site_letter(int site) {
   if (site < 26) return std::string(1, static_cast<char>('a' + site));
-  return "s" + std::to_string(site);
+  // Not `"s" + std::to_string(site)`: GCC 12 flags that inlined
+  // insert with a false-positive -Wrestrict, which breaks -Werror builds.
+  return std::string("s").append(std::to_string(site));
 }
 
 void check_topology(const TopologyConfig& topo) {

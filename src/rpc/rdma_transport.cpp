@@ -8,7 +8,6 @@
 #include <cassert>
 #include <cstdio>
 #include <string>
-#include <vector>
 
 #include "rpc/rpc.hpp"
 #include "sim/task.hpp"
@@ -29,13 +28,6 @@ struct ReplyMsg {
 /// Send-CQE wr_id tags for the server-side read-completion dispatch.
 constexpr std::uint64_t kWrReadBase = 1'000'000;
 }  // namespace
-
-struct RdmaRpcClient::Pending {
-  explicit Pending(sim::Simulator& sim) : trigger(sim) {}
-  sim::Trigger trigger;
-  ReplyInfo reply;
-  bool done = false;
-};
 
 // ---------------------------------------------------------------------------
 // Server
@@ -165,88 +157,44 @@ sim::Task RdmaRpcServer::serve(ib::RcQp* qp, CallMsg call) {
 // ---------------------------------------------------------------------------
 
 RdmaRpcClient::RdmaRpcClient(ib::Hca& hca, RdmaRpcServer& server)
-    : hca_(hca), scq_(hca.sim()), rcq_(hca.sim()) {
-  auto& m = hca_.sim().metrics();
+    : RpcClient(hca.sim(), hca.lid()), scq_(hca.sim()), rcq_(hca.sim()) {
+  auto& m = hca.sim().metrics();
   const std::string scope =
-      "node" + std::to_string(hca_.lid()) + "/rpc.rdma";
+      "node" + std::to_string(hca.lid()) + "/rpc.rdma";
   using sim::MetricUnit;
   obs_.calls = &m.counter(scope, "calls", MetricUnit::kCount);
   obs_.call_failures =
       &m.counter(scope, "call_failures", MetricUnit::kCount);
   obs_.inflight = &m.gauge(scope, "inflight", MetricUnit::kCount);
   obs_.call_ns = &m.histogram(scope, "call_ns", MetricUnit::kNanoseconds);
-  std::snprintf(trace_tag_, sizeof(trace_tag_), "rpc-c%u", hca_.lid());
   rcq_.set_callback([this](const ib::Cqe& e) { on_recv(e); });
   // A flushed send completion means the QP exhausted its retry budget
   // (WAN severed past the IB timeout horizon): no call on this
   // connection can ever complete, so fail them all.
   scq_.set_callback([this](const ib::Cqe& e) {
-    if (!e.success) fail_all_pending();
+    if (!e.success) fail_all();
   });
-  qp_ = &hca_.create_rc_qp(scq_, rcq_);
-  server.accept(*qp_, hca_.lid());
-}
-
-void RdmaRpcClient::fail_all_pending() {
-  if (pending_.empty()) return;
-  // Deterministic completion order: fail by ascending xid, not map order.
-  std::vector<std::uint64_t> xids;
-  xids.reserve(pending_.size());
-  for (const auto& [xid, p] : pending_) xids.push_back(xid);
-  std::sort(xids.begin(), xids.end());
-  for (std::uint64_t xid : xids) {
-    auto p = pending_.at(xid);
-    p->reply = ReplyInfo{};
-    p->reply.ok = false;
-    p->done = true;
-    obs_.call_failures->add();
-    p->trigger.fire();
-  }
-  pending_.clear();
+  qp_ = &hca.create_rc_qp(scq_, rcq_);
+  server.accept(*qp_, hca.lid());
 }
 
 void RdmaRpcClient::on_recv(const ib::Cqe& cqe) {
   qp_->post_recv(ib::RecvWr{});
   if (!cqe.success) {
-    fail_all_pending();
+    fail_all();
     return;
   }
   if (!cqe.app_payload) return;
   const ReplyMsg& msg = cqe.payload_as<ReplyMsg>();
-  auto it = pending_.find(msg.xid);
-  if (it == pending_.end()) return;
-  auto p = it->second;
-  pending_.erase(it);
-  p->reply = msg.reply;
-  p->done = true;
-  p->trigger.fire();
+  complete(msg.xid, msg.reply);
 }
 
-sim::Coro<ReplyInfo> RdmaRpcClient::call(CallArgs args) {
-  const std::uint64_t xid = next_xid_++;
-  const sim::Time t0 = hca_.sim().now();
-  auto p = std::make_shared<Pending>(hca_.sim());
-  pending_[xid] = p;
-  obs_.calls->add();
-  obs_.inflight->set(static_cast<std::int64_t>(pending_.size()));
-  if (sim::FlightRecorder& fr = hca_.sim().recorder(); fr.armed()) {
-    fr.record(t0, sim::TraceKind::kRpcIssue, trace_tag_, xid, args.proc,
-              args.arg_bytes + args.data_to_server);
-  }
+void RdmaRpcClient::send(std::uint64_t xid, const CallArgs& args) {
   auto msg = std::make_shared<RdmaRpcServer::CallMsg>();
   msg->xid = xid;
   msg->args = args;
   qp_->post_send(ib::SendWr{.length = kCallHeaderBytes + args.arg_bytes,
                             .app_payload = std::move(msg)});
-  if (!p->done) co_await p->trigger.wait();
-  const sim::Time elapsed = hca_.sim().now() - t0;
-  obs_.call_ns->observe(elapsed);
-  obs_.inflight->set(static_cast<std::int64_t>(pending_.size()));
-  if (sim::FlightRecorder& fr = hca_.sim().recorder(); fr.armed()) {
-    fr.record(hca_.sim().now(), sim::TraceKind::kRpcComplete, trace_tag_,
-              xid, args.proc, static_cast<std::uint64_t>(elapsed));
-  }
-  co_return p->reply;
 }
 
 }  // namespace ibwan::rpc

@@ -1,6 +1,9 @@
-// ONC-RPC-style request/reply transport, over TCP (record marking) or
+// ONC-RPC-style request/reply transport, over TCP (record marking),
 // over RDMA (the NFS/RDMA design: inline call/reply messages, bulk data
-// moved by server-initiated RDMA in fixed-size chunks).
+// moved by server-initiated RDMA in fixed-size chunks) or over SDR (one
+// reliable SDR message each way). One client core (RpcClient) owns the
+// call bookkeeping; each transport only puts calls on the wire and
+// reports replies and give-ups back.
 #pragma once
 
 #include <cstdint>
@@ -46,22 +49,11 @@ struct ReplyInfo {
   /// Bulk payload returned to the client (e.g. NFS READ data).
   std::uint64_t data_to_client = 0;
   std::shared_ptr<const void> body;
-  /// False when the transport gave up — the retry budget was exhausted
-  /// (TCP transport) or the underlying QP flushed (RDMA transport).
-  /// The payload fields are meaningless in that case.
+  /// False when the transport gave up on the call — the RC QP flushed
+  /// (RDMA transport) or the SDR send exhausted its probe budget (SDR
+  /// transport); a TCP stream never gives up. The payload fields are
+  /// meaningless in that case.
   bool ok = true;
-};
-
-/// Client-side bounded retry-with-backoff for timed-out calls.
-/// timeout == 0 (the default) preserves the wait-forever behaviour;
-/// chaos runs set a finite budget so a faulted WAN cannot hang a
-/// caller. Retries reuse the xid, so a duplicate execution on the
-/// server is absorbed by the first reply winning (ONC-RPC semantics;
-/// handlers are idempotent the way NFS ops are).
-struct RpcRetryConfig {
-  sim::Duration timeout = 0;
-  int max_retries = 3;
-  double backoff = 2.0;
 };
 
 /// Server-side dispatch: one concurrently-running coroutine per call.
@@ -71,13 +63,56 @@ using Handler = std::function<sim::Coro<ReplyInfo>(const CallArgs&)>;
 inline constexpr std::uint32_t kCallHeaderBytes = 128;
 inline constexpr std::uint32_t kReplyHeaderBytes = 96;
 
+/// The client core shared by every transport: xid allocation, the
+/// pending-call table, reply matching, give-up handling, the client
+/// metrics and the rpc-issue/rpc-complete trace records. A transport
+/// overrides send() and reports back through complete(), fail() and
+/// fail_all().
 class RpcClient {
  public:
   virtual ~RpcClient() = default;
+  // Transports hand `this` to their reply and give-up callbacks.
+  RpcClient(const RpcClient&) = delete;
+  RpcClient& operator=(const RpcClient&) = delete;
+
   /// Issues a call and suspends until the reply (and all bulk data)
-  /// has arrived. Thread-safe in the simulated sense: any number of
-  /// coroutines may have calls in flight.
-  virtual sim::Coro<ReplyInfo> call(CallArgs args) = 0;
+  /// has arrived, or until the transport gives up on it (ok == false).
+  /// Thread-safe in the simulated sense: any number of coroutines may
+  /// have calls in flight.
+  sim::Coro<ReplyInfo> call(CallArgs args);
+
+ protected:
+  RpcClient(sim::Simulator& sim, NodeId lid);
+
+  /// Puts call `xid` on the wire. The call is already in the pending
+  /// table, so the transport may fail it from here on.
+  virtual void send(std::uint64_t xid, const CallArgs& args) = 0;
+  /// The reply to `xid` arrived. Unknown xids are ignored.
+  void complete(std::uint64_t xid, const ReplyInfo& reply);
+  /// The transport gave up on `xid`: the call returns ok == false.
+  void fail(std::uint64_t xid);
+  /// The channel can never deliver again: fails every outstanding call
+  /// in ascending xid order.
+  void fail_all();
+
+  // Registered metrics (docs/METRICS.md §rpc); each transport's
+  // constructor registers them under "node<lid>/rpc.<transport>".
+  struct Obs {
+    sim::Counter* calls;
+    sim::Counter* call_failures;
+    sim::Gauge* inflight;
+    sim::Histogram* call_ns;
+  };
+  Obs obs_{};
+
+ private:
+  struct Pending;
+
+  sim::Simulator& sim_;
+  std::uint64_t next_xid_ = 1;
+  /// Each entry points into the frame of the call() awaiting it.
+  std::unordered_map<std::uint64_t, Pending*> pending_;
+  char trace_tag_[12];  // "rpc-c<lid>"
 };
 
 // ---------------------------------------------------------------------------
@@ -104,28 +139,10 @@ class TcpRpcClient : public RpcClient {
   /// across client threads, as in the paper's IOzone setup).
   TcpRpcClient(tcp::TcpStack& stack, NodeId server, tcp::Port port);
 
-  sim::Coro<ReplyInfo> call(CallArgs args) override;
-
-  void set_retry(const RpcRetryConfig& retry) { retry_ = retry; }
-
  private:
-  struct Pending;
-  sim::Simulator& sim_;
-  tcp::TcpConnection& conn_;
-  std::uint64_t next_xid_ = 1;
-  RpcRetryConfig retry_;
-  std::unordered_map<std::uint64_t, std::shared_ptr<Pending>> pending_;
+  void send(std::uint64_t xid, const CallArgs& args) override;
 
-  // Registered metrics (docs/METRICS.md §rpc); scope "node<lid>/rpc.tcp".
-  struct Obs {
-    sim::Counter* calls;
-    sim::Counter* retries;
-    sim::Counter* call_failures;
-    sim::Gauge* inflight;
-    sim::Histogram* call_ns;
-  };
-  Obs obs_;
-  char trace_tag_[12];  // "rpc-c<lid>"
+  tcp::TcpConnection& conn_;
 };
 
 // ---------------------------------------------------------------------------
@@ -185,31 +202,13 @@ class RdmaRpcClient : public RpcClient {
  public:
   RdmaRpcClient(ib::Hca& hca, RdmaRpcServer& server);
 
-  sim::Coro<ReplyInfo> call(CallArgs args) override;
-
  private:
-  struct Pending;
+  void send(std::uint64_t xid, const CallArgs& args) override;
   void on_recv(const ib::Cqe& cqe);
-  /// QP retry exhaustion flushed a WQE: every outstanding call fails
-  /// with ok=false (there is no path left to a reply).
-  void fail_all_pending();
 
-  ib::Hca& hca_;
   ib::Cq scq_;
   ib::Cq rcq_;
   ib::RcQp* qp_ = nullptr;
-  std::uint64_t next_xid_ = 1;
-  std::unordered_map<std::uint64_t, std::shared_ptr<Pending>> pending_;
-
-  // Registered metrics (docs/METRICS.md §rpc); scope "node<lid>/rpc.rdma".
-  struct Obs {
-    sim::Counter* calls;
-    sim::Counter* call_failures;
-    sim::Gauge* inflight;
-    sim::Histogram* call_ns;
-  };
-  Obs obs_;
-  char trace_tag_[12];  // "rpc-c<lid>"
 };
 
 // ---------------------------------------------------------------------------
@@ -220,8 +219,8 @@ class RdmaRpcClient : public RpcClient {
 // + bulk data), so FEC repairs WAN loss locally at the receiver instead
 // of stalling an RC window — the serving-scenario alternative measured
 // by bench/ext_kv_serving. A hard send failure (probe exhaustion on a
-// severed WAN) surfaces as ReplyInfo::ok == false, like the other
-// transports' give-up paths.
+// severed WAN) surfaces as ReplyInfo::ok == false, like the RDMA
+// transport's give-up path.
 
 class SdrRpcServer {
  public:
@@ -251,36 +250,11 @@ class SdrRpcClient : public RpcClient {
   SdrRpcClient(ib::Hca& hca, SdrRpcServer& server,
                sdr::SdrConfig config = {});
 
-  sim::Coro<ReplyInfo> call(CallArgs args) override;
-
-  void set_retry(const RpcRetryConfig& retry) { retry_ = retry; }
-
  private:
-  struct Pending;
-  void on_message(const std::shared_ptr<const void>& app);
-  /// The transport reported the request undeliverable (probe budget
-  /// exhausted): fail the call immediately instead of waiting out the
-  /// timeout ladder.
-  void fail_call(std::uint64_t xid);
+  void send(std::uint64_t xid, const CallArgs& args) override;
 
-  ib::Hca& hca_;
-  sim::Simulator& sim_;
   sdr::SdrEndpoint ep_;
   ib::UdDest server_;
-  std::uint64_t next_xid_ = 1;
-  RpcRetryConfig retry_;
-  std::unordered_map<std::uint64_t, std::shared_ptr<Pending>> pending_;
-
-  // Registered metrics (docs/METRICS.md §rpc); scope "node<lid>/rpc.sdr".
-  struct Obs {
-    sim::Counter* calls;
-    sim::Counter* retries;
-    sim::Counter* call_failures;
-    sim::Gauge* inflight;
-    sim::Histogram* call_ns;
-  };
-  Obs obs_;
-  char trace_tag_[12];  // "rpc-c<lid>"
 };
 
 }  // namespace ibwan::rpc

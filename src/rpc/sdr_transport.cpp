@@ -1,19 +1,15 @@
 // RPC over the SDR reliability layer: call and reply are each one
 // reliable SDR message (inline header + args + bulk payload bytes), so
 // redundancy-coded chunks — not an RC retransmission window — carry the
-// exchange across a lossy WAN. The client keeps the same bounded
-// retry-with-backoff contract as the TCP transport (same xid on resend,
-// first reply wins), plus an early-failure path: when the SDR sender
-// exhausts its probe budget the request provably never arrives, so the
-// call fails immediately with ok == false.
+// exchange across a lossy WAN. When the SDR sender exhausts its probe
+// budget the request provably never arrives, so the call fails
+// immediately with ok == false.
 #include <cassert>
-#include <cstdio>
 #include <string>
 #include <utility>
 
 #include "rpc/rpc.hpp"
 #include "sim/task.hpp"
-#include "sim/trace.hpp"
 
 namespace ibwan::rpc {
 
@@ -26,13 +22,6 @@ struct SdrRpcServer::CallMsg {
 struct SdrRpcServer::ReplyMsg {
   std::uint64_t xid = 0;
   ReplyInfo reply;
-};
-
-struct SdrRpcClient::Pending {
-  explicit Pending(sim::Simulator& sim) : trigger(sim) {}
-  sim::Trigger trigger;
-  ReplyInfo reply;
-  bool done = false;
 };
 
 // ---------------------------------------------------------------------------
@@ -58,9 +47,9 @@ sim::Task SdrRpcServer::serve(CallMsg call) {
   auto msg = std::make_shared<ReplyMsg>();
   msg->xid = call.xid;
   msg->reply = reply;
-  // Reply loss (or a severed WAN) is the client's problem: its timeout
-  // ladder resends the call, and the duplicate execution is absorbed by
-  // the first reply winning, as on the TCP transport.
+  // SDR's FEC and ARQ recover reply loss; a reply that still cannot get
+  // through leaves the call outstanding, and deadlines live above RPC
+  // (kv::QuorumConfig::op_timeout).
   ep_.send(call.reply_to,
            kReplyHeaderBytes + reply.reply_bytes + reply.data_to_client, {},
            std::move(msg));
@@ -72,104 +61,38 @@ sim::Task SdrRpcServer::serve(CallMsg call) {
 
 SdrRpcClient::SdrRpcClient(ib::Hca& hca, SdrRpcServer& server,
                            sdr::SdrConfig config)
-    : hca_(hca), sim_(hca.sim()), ep_(hca, config), server_(server.dest()) {
-  auto& m = sim_.metrics();
-  const std::string scope = "node" + std::to_string(hca_.lid()) + "/rpc.sdr";
+    : RpcClient(hca.sim(), hca.lid()),
+      ep_(hca, config),
+      server_(server.dest()) {
+  auto& m = hca.sim().metrics();
+  const std::string scope = "node" + std::to_string(hca.lid()) + "/rpc.sdr";
   using sim::MetricUnit;
   obs_.calls = &m.counter(scope, "calls", MetricUnit::kCount);
-  obs_.retries = &m.counter(scope, "retries", MetricUnit::kCount);
   obs_.call_failures = &m.counter(scope, "call_failures", MetricUnit::kCount);
   obs_.inflight = &m.gauge(scope, "inflight", MetricUnit::kCount);
   obs_.call_ns = &m.histogram(scope, "call_ns", MetricUnit::kNanoseconds);
-  std::snprintf(trace_tag_, sizeof(trace_tag_), "rpc-c%u", hca_.lid());
   ep_.set_delivery_handler([this](const ib::UdDest&, std::uint64_t,
                                   const std::shared_ptr<const void>& app) {
-    on_message(app);
+    if (!app) return;  // not an RPC message (raw SDR traffic)
+    const auto& msg = *static_cast<const SdrRpcServer::ReplyMsg*>(app.get());
+    complete(msg.xid, msg.reply);
   });
 }
 
-void SdrRpcClient::on_message(const std::shared_ptr<const void>& app) {
-  if (!app) return;
-  const auto& msg = *static_cast<const SdrRpcServer::ReplyMsg*>(app.get());
-  auto it = pending_.find(msg.xid);
-  if (it == pending_.end()) return;  // duplicate reply of a retried call
-  auto p = it->second;
-  pending_.erase(it);
-  p->reply = msg.reply;
-  p->done = true;
-  p->trigger.fire();
-}
-
-void SdrRpcClient::fail_call(std::uint64_t xid) {
-  auto it = pending_.find(xid);
-  if (it == pending_.end()) return;
-  auto p = it->second;
-  pending_.erase(it);
-  p->reply = ReplyInfo{};
-  p->reply.ok = false;
-  p->done = true;
-  obs_.call_failures->add();
-  p->trigger.fire();
-}
-
-sim::Coro<ReplyInfo> SdrRpcClient::call(CallArgs args) {
-  const std::uint64_t xid = next_xid_++;
-  const sim::Time t0 = sim_.now();
-  auto p = std::make_shared<Pending>(sim_);
-  pending_[xid] = p;
-  obs_.calls->add();
-  obs_.inflight->set(static_cast<std::int64_t>(pending_.size()));
-  if (sim::FlightRecorder& fr = sim_.recorder(); fr.armed()) {
-    fr.record(t0, sim::TraceKind::kRpcIssue, trace_tag_, xid, args.proc,
-              args.arg_bytes + args.data_to_server);
-  }
-  sim::Duration timeout = retry_.timeout;
-  for (int attempt = 0;; ++attempt) {
-    auto msg = std::make_shared<SdrRpcServer::CallMsg>();
-    msg->xid = xid;
-    msg->reply_to = ep_.dest();
-    msg->args = args;
-    // Bulk data travels inline in the SDR message. A hard send failure
-    // (probe exhaustion) fails the call on the spot — no reply can ever
-    // come back for a request the transport gave up on.
-    ep_.send(
-        server_, kCallHeaderBytes + args.arg_bytes + args.data_to_server,
-        [this, xid](bool ok) {
-          if (!ok) fail_call(xid);
-        },
-        std::move(msg));
-    if (timeout == 0) {  // no budget configured: wait forever
-      if (!p->done) co_await p->trigger.wait();
-      break;
-    }
-    const sim::EventId timer =
-        sim_.schedule(timeout, [p] { p->trigger.fire(); });
-    if (!p->done) co_await p->trigger.wait();
-    if (p->done) {
-      sim_.cancel(timer);  // no-op if the timer is what woke us
-      break;
-    }
-    p->trigger.reset();  // timed out; re-arm for the next attempt
-    if (attempt >= retry_.max_retries) {
-      pending_.erase(xid);
-      p->reply = ReplyInfo{};
-      p->reply.ok = false;
-      p->done = true;
-      obs_.call_failures->add();
-      break;
-    }
-    obs_.retries->add();
-    timeout = static_cast<sim::Duration>(static_cast<double>(timeout) *
-                                         retry_.backoff);
-  }
-  const sim::Time elapsed = sim_.now() - t0;
-  obs_.call_ns->observe(elapsed);
-  obs_.inflight->set(static_cast<std::int64_t>(pending_.size()));
-  if (sim::FlightRecorder& fr = sim_.recorder(); fr.armed()) {
-    fr.record(sim_.now(), sim::TraceKind::kRpcComplete, trace_tag_, xid,
-              args.proc, static_cast<std::uint64_t>(elapsed));
-  }
-  co_return p->reply;
+void SdrRpcClient::send(std::uint64_t xid, const CallArgs& args) {
+  auto msg = std::make_shared<SdrRpcServer::CallMsg>();
+  msg->xid = xid;
+  msg->reply_to = ep_.dest();
+  msg->args = args;
+  // Bulk data travels inline in the SDR message. A hard send failure
+  // (probe exhaustion) fails the call on the spot — no reply can ever
+  // come back for a request the transport gave up on.
+  ep_.send(
+      server_, kCallHeaderBytes + args.arg_bytes + args.data_to_server,
+      [this, xid](bool ok) {
+        if (!ok) fail(xid);
+      },
+      std::move(msg));
 }
 
 }  // namespace ibwan::rpc

@@ -1,11 +1,9 @@
 // RPC over TCP: record-marked call and reply messages on one stream.
 #include <cassert>
-#include <cstdio>
 #include <string>
 
 #include "rpc/rpc.hpp"
 #include "sim/task.hpp"
-#include "sim/trace.hpp"
 
 namespace ibwan::rpc {
 
@@ -18,13 +16,6 @@ struct Record {
   ReplyInfo reply;  // valid when !is_call
 };
 }  // namespace
-
-struct TcpRpcClient::Pending {
-  explicit Pending(sim::Simulator& sim) : trigger(sim) {}
-  sim::Trigger trigger;
-  ReplyInfo reply;
-  bool done = false;
-};
 
 // ---------------------------------------------------------------------------
 // Server
@@ -65,87 +56,32 @@ sim::Task TcpRpcServer::serve(tcp::TcpConnection& conn,
 
 TcpRpcClient::TcpRpcClient(tcp::TcpStack& stack, NodeId server,
                            tcp::Port port)
-    : sim_(stack.sim()), conn_(stack.connect(server, port)) {
-  auto& m = sim_.metrics();
+    : RpcClient(stack.sim(), stack.lid()),
+      conn_(stack.connect(server, port)) {
+  auto& m = stack.sim().metrics();
   const std::string scope =
       "node" + std::to_string(stack.lid()) + "/rpc.tcp";
   using sim::MetricUnit;
   obs_.calls = &m.counter(scope, "calls", MetricUnit::kCount);
-  obs_.retries = &m.counter(scope, "retries", MetricUnit::kCount);
   obs_.call_failures =
       &m.counter(scope, "call_failures", MetricUnit::kCount);
   obs_.inflight = &m.gauge(scope, "inflight", MetricUnit::kCount);
   obs_.call_ns = &m.histogram(scope, "call_ns", MetricUnit::kNanoseconds);
-  std::snprintf(trace_tag_, sizeof(trace_tag_), "rpc-c%u", stack.lid());
   conn_.set_on_marker([this](std::shared_ptr<const void> marker) {
     const Record& rec = *static_cast<const Record*>(marker.get());
     assert(!rec.is_call);
-    auto it = pending_.find(rec.xid);
-    if (it == pending_.end()) return;
-    auto p = it->second;
-    pending_.erase(it);
-    p->reply = rec.reply;
-    p->done = true;
-    p->trigger.fire();
+    complete(rec.xid, rec.reply);
   });
 }
 
-sim::Coro<ReplyInfo> TcpRpcClient::call(CallArgs args) {
-  const std::uint64_t xid = next_xid_++;
-  const sim::Time t0 = sim_.now();
-  auto p = std::make_shared<Pending>(sim_);
-  pending_[xid] = p;
-  obs_.calls->add();
-  obs_.inflight->set(static_cast<std::int64_t>(pending_.size()));
-  if (sim::FlightRecorder& fr = sim_.recorder(); fr.armed()) {
-    fr.record(t0, sim::TraceKind::kRpcIssue, trace_tag_, xid, args.proc,
-              args.arg_bytes + args.data_to_server);
-  }
-  sim::Duration timeout = retry_.timeout;
-  for (int attempt = 0;; ++attempt) {
-    auto record = std::make_shared<Record>();
-    record->is_call = true;
-    record->xid = xid;
-    record->args = args;
-    // WRITE-style bulk data travels inline in the call stream. Retries
-    // resend the whole record under the same xid; a duplicate reply (the
-    // first attempt limping home late) is ignored by the unknown-xid
-    // check in the marker callback.
-    conn_.send_marked(
-        kCallHeaderBytes + args.arg_bytes + args.data_to_server,
-        std::move(record));
-    if (timeout == 0) {  // no budget configured: wait forever
-      if (!p->done) co_await p->trigger.wait();
-      break;
-    }
-    const sim::EventId timer =
-        sim_.schedule(timeout, [p] { p->trigger.fire(); });
-    if (!p->done) co_await p->trigger.wait();
-    if (p->done) {
-      sim_.cancel(timer);  // no-op if the timer is what woke us
-      break;
-    }
-    p->trigger.reset();  // timed out; re-arm for the next attempt
-    if (attempt >= retry_.max_retries) {
-      pending_.erase(xid);
-      p->reply = ReplyInfo{};
-      p->reply.ok = false;
-      p->done = true;
-      obs_.call_failures->add();
-      break;
-    }
-    obs_.retries->add();
-    timeout = static_cast<sim::Duration>(static_cast<double>(timeout) *
-                                         retry_.backoff);
-  }
-  const sim::Time elapsed = sim_.now() - t0;
-  obs_.call_ns->observe(elapsed);
-  obs_.inflight->set(static_cast<std::int64_t>(pending_.size()));
-  if (sim::FlightRecorder& fr = sim_.recorder(); fr.armed()) {
-    fr.record(sim_.now(), sim::TraceKind::kRpcComplete, trace_tag_, xid,
-              args.proc, static_cast<std::uint64_t>(elapsed));
-  }
-  co_return p->reply;
+void TcpRpcClient::send(std::uint64_t xid, const CallArgs& args) {
+  auto record = std::make_shared<Record>();
+  record->is_call = true;
+  record->xid = xid;
+  record->args = args;
+  // WRITE-style bulk data travels inline in the call stream.
+  conn_.send_marked(kCallHeaderBytes + args.arg_bytes + args.data_to_server,
+                    std::move(record));
 }
 
 }  // namespace ibwan::rpc
