@@ -74,22 +74,14 @@ inline void init(int argc, char** argv) {
     core::set_default_seed(v);
     if (v != 42) std::printf("  [seed: %llu]\n", v);
   }
-  // IBWAN_PAR_SITES=N / --par-sites N requests site-parallel execution
-  // (one logical process per cluster, DESIGN.md §13). The knob is a
-  // pure wall-clock optimization: every CSV and metrics byte is
-  // identical to the sequential run. The flag wins over the env var.
-  if (const char* env = std::getenv("IBWAN_PAR_SITES")) {
-    const int n = std::atoi(env);
-    if (n < 1) {
-      std::fprintf(stderr, "bad IBWAN_PAR_SITES '%s': want >= 1\n", env);
-      std::exit(2);
-    }
-    core::set_par_sites(n);
-  }
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
     std::string path;
     std::string faults_path;
+    // --par-sites N requests site-parallel execution (one logical
+    // process per topology site, DESIGN.md §13). The knob is a pure
+    // wall-clock optimization: every CSV and metrics byte is identical
+    // to the sequential run.
     std::string par_sites_arg;
     if (arg == "--par-sites" && i + 1 < argc) {
       par_sites_arg = argv[++i];

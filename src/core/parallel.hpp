@@ -2,9 +2,9 @@
 //
 // `par_sites` is the requested number of logical processes per
 // simulation (one per cluster; 1 = today's sequential engine). Benches
-// set it from `--par-sites N` / IBWAN_PAR_SITES (bench::init); tests
-// set it directly. Like the seed knob it must be set before testbeds
-// are constructed and is read-only while sweeps run.
+// set it from `--par-sites N` (bench::init); tests set it directly.
+// Like the seed knob it must be set before testbeds are constructed and
+// is read-only while sweeps run.
 //
 // `IBWAN_THREADS=1` doubles as the differential oracle switch: with a
 // one-thread budget the partition is pointless, so Testbed collapses to

@@ -163,18 +163,9 @@ class Testbed {
             : 2;  // the classic testbed is one LP per cluster
     if (req > 1) req = max_sites;
     if (req > 1 && pdes_threads() == 1) req = 1;
-    if (req > 1) {
-      // Shapes the partition cannot support run sequentially (the
-      // fabric would fall back anyway; keep the engine in sync).
-      const net::TopologyConfig topo =
-          opt.topology != nullptr
-              ? *opt.topology
-              : net::to_topology(fabric_defaults(opt.nodes_a, opt.nodes_b));
-      if (topo.back_to_back) req = 1;
-      for (const net::WanEdgeConfig& e : topo.wan) {
-        if (e.longbow.loss_rate > 0.0) req = 1;
-      }
-    }
+    // A back-to-back fabric has no WAN to partition at (the fabric
+    // would fall back anyway; keep the engine in sync).
+    if (opt.topology != nullptr && opt.topology->back_to_back) req = 1;
     return req < 1 ? 1 : req;
   }
 

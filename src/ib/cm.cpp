@@ -53,6 +53,17 @@ sim::Task CmAgent::retry_loop(Lid dst, std::uint64_t conn_id, CmMad req) {
   conn->done.fire();
 }
 
+sim::Task CmAgent::rep_loop(Lid dst, std::uint64_t conn_id, CmMad rep) {
+  // The passive side resends its REP until the RTU arrives; the active
+  // side answers every REP with an RTU, so a lost RTU is repaired too.
+  for (int attempt = 0; attempt < config_.max_retries; ++attempt) {
+    ++stats_.reps_sent;
+    send_mad(dst, rep);
+    co_await sim::SleepAwaiter(hca_.sim(), config_.retry_timeout);
+    if (passive_.at(conn_id).established) co_return;
+  }
+}
+
 sim::Coro<RcQp*> CmAgent::connect(Lid dst, std::uint32_t service_id,
                                   Cq& scq, Cq& rcq) {
   const std::uint64_t conn_id =
@@ -69,7 +80,6 @@ sim::Coro<RcQp*> CmAgent::connect(Lid dst, std::uint32_t service_id,
   retry_loop(dst, conn_id, req);
   if (!conn->done.fired()) co_await conn->done.wait();
   assert(conn->replied || conn->rejected);
-  active_.erase(conn_id);
   if (conn->rejected) co_return nullptr;
   ++stats_.connections;
   co_return conn->qp;
@@ -90,24 +100,30 @@ void CmAgent::on_mad(const Cqe& cqe) {
                                     .src_lid = hca_.lid()});
         return;
       }
-      // Duplicate REQ (our REP was lost): resend the REP.
       auto pit = passive_.find(mad.conn_id);
-      if (pit == passive_.end()) {
+      const bool fresh = pit == passive_.end();
+      if (fresh) {
         RcQp& qp = hca_.create_rc_qp(*lit->second.scq, *lit->second.rcq);
         qp.connect(mad.src_lid, mad.qpn);
         pit = passive_.emplace(mad.conn_id, PassiveConn{&qp, false}).first;
       }
-      ++stats_.reps_sent;
-      send_mad(mad.src_lid, CmMad{.kind = CmMad::Kind::kRep,
-                                  .service_id = mad.service_id,
-                                  .conn_id = mad.conn_id,
-                                  .src_lid = hca_.lid(),
-                                  .qpn = pit->second.qp->qpn()});
+      const CmMad rep{.kind = CmMad::Kind::kRep,
+                      .service_id = mad.service_id,
+                      .conn_id = mad.conn_id,
+                      .src_lid = hca_.lid(),
+                      .qpn = pit->second.qp->qpn()};
+      if (fresh) {
+        rep_loop(mad.src_lid, mad.conn_id, rep);
+      } else {
+        // Duplicate REQ (our REP was lost): resend the REP.
+        ++stats_.reps_sent;
+        send_mad(mad.src_lid, rep);
+      }
       return;
     }
     case CmMad::Kind::kRep: {
       auto it = active_.find(mad.conn_id);
-      if (it == active_.end()) return;  // stale/duplicate
+      if (it == active_.end() || it->second->rejected) return;  // stale
       auto conn = it->second;
       if (!conn->replied) {
         conn->qp->connect(mad.src_lid, mad.qpn);

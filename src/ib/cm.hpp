@@ -82,6 +82,7 @@ class CmAgent {
   void on_mad(const Cqe& cqe);
   void send_mad(Lid dst, const CmMad& mad);
   sim::Task retry_loop(Lid dst, std::uint64_t conn_id, CmMad req);
+  sim::Task rep_loop(Lid dst, std::uint64_t conn_id, CmMad rep);
 
   Hca& hca_;
   Config config_;
@@ -89,6 +90,8 @@ class CmAgent {
   Cq rcq_;
   UdQp* qp1_ = nullptr;
   std::unordered_map<std::uint32_t, Listener> listeners_;
+  /// Active side, by conn id; kept after connect() returns so a
+  /// duplicate REP (our RTU was lost) is answered with another RTU.
   std::unordered_map<std::uint64_t, std::shared_ptr<ActiveConn>> active_;
   /// Passive-side dedup: connections already set up, by initiator conn id.
   std::unordered_map<std::uint64_t, PassiveConn> passive_;

@@ -17,14 +17,7 @@ bool partitionable(const sim::SiteEngine& engine, const TopologyConfig& topo) {
   // site's WAN deliveries are ordinary local events — at a same-instant
   // arrival tie with a channel merge they would fire in slot order, not
   // the sequential engine's schedule order, breaking byte-identity.
-  if (engine.sites() != static_cast<int>(topo.sites.size())) return false;
-  // Flat WAN loss draws from the main RNG stream at serialization time;
-  // splitting the sites would split that stream, so such configs stay
-  // sequential (the named-stream fault models are fine).
-  for (const WanEdgeConfig& e : topo.wan) {
-    if (e.longbow.loss_rate != 0.0) return false;
-  }
-  return true;
+  return engine.sites() == static_cast<int>(topo.sites.size());
 }
 
 std::string site_letter(int site) {

@@ -183,12 +183,12 @@ void Link::start_next() {
       start_next();
       return;
     }
-    // Flat config loss draws first, and only when configured, so the main
-    // RNG stream sees the exact same sequence whether or not a fault
-    // model is installed.
-    const bool lost =
-        config_.loss_rate > 0.0 && sim_.rng().chance(config_.loss_rate);
-    if (lost) {
+    // Flat config loss draws from the link's own stream, so it never
+    // perturbs the main one and stays on the sender's site under PDES.
+    if (config_.loss_rate > 0.0 && !loss_rng_) {
+      loss_rng_ = sim_.rng_stream(name_ + "/loss");
+    }
+    if (loss_rng_ && loss_rng_->chance(config_.loss_rate)) {
       ++stats_.packets_dropped_loss;
       stats_.bytes_dropped += pkt->wire_size;
       obs_.drops_loss->add();

@@ -14,6 +14,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -32,7 +33,8 @@ class Link {
     sim::Duration propagation = 0;
     /// Bytes that may be queued awaiting serialization; 0 = unbounded.
     std::uint64_t buffer_bytes = 0;
-    /// Probability that a packet is corrupted in flight and discarded.
+    /// Probability that a packet is corrupted in flight and discarded,
+    /// drawn from the named stream "<name>/loss" (Simulator::rng_stream).
     double loss_rate = 0.0;
   };
 
@@ -178,6 +180,9 @@ class Link {
   std::function<void(Packet&&)> sink_;
   std::function<bool(const Packet&)> loss_model_;
   std::function<sim::Duration()> jitter_model_;
+  /// Config loss_rate stream, taken at the first draw: owners seed the
+  /// simulator after building the fabric.
+  std::optional<sim::Rng> loss_rng_;
   std::deque<Packet> q_control_;
   std::deque<Packet> q_data_;
   bool busy_ = false;

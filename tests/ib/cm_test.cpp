@@ -83,19 +83,25 @@ TEST(Cm, HandshakeCostsOneRoundTripOverWan) {
 }
 
 TEST(Cm, SurvivesMadLoss) {
-  CmWorld w(0.25);  // brutal datagram loss
-  w.sim.seed(11);
-  int connected = 0;
-  w.cm_b.listen(42, w.scq_b, w.rcq_b, [&](RcQp&) { ++connected; });
-  RcQp* qp = nullptr;
-  [](CmWorld& cw, RcQp** out) -> sim::Task {
-    *out = co_await cw.cm_a.connect(1, 42, cw.scq_a, cw.rcq_a);
-  }(w, &qp);
-  w.sim.run();
-  ASSERT_NE(qp, nullptr);
-  EXPECT_TRUE(qp->connected());
-  EXPECT_EQ(connected, 1);  // dedup: exactly one accept callback
-  EXPECT_GT(w.cm_a.stats().retries, 0u);
+  // Brutal datagram loss: every seed must connect exactly once, and
+  // across the seeds some MADs must have been lost and retried.
+  std::uint64_t retries = 0;
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    CmWorld w(0.25);
+    w.sim.seed(seed);
+    int connected = 0;
+    w.cm_b.listen(42, w.scq_b, w.rcq_b, [&](RcQp&) { ++connected; });
+    RcQp* qp = nullptr;
+    [](CmWorld& cw, RcQp** out) -> sim::Task {
+      *out = co_await cw.cm_a.connect(1, 42, cw.scq_a, cw.rcq_a);
+    }(w, &qp);
+    w.sim.run();
+    ASSERT_NE(qp, nullptr) << "seed " << seed;
+    EXPECT_TRUE(qp->connected()) << "seed " << seed;
+    EXPECT_EQ(connected, 1) << "seed " << seed;  // dedup: one accept
+    retries += w.cm_a.stats().retries;
+  }
+  EXPECT_GT(retries, 0u);
 }
 
 TEST(Cm, ManyConcurrentConnections) {

@@ -4,6 +4,7 @@
 
 struct SimS1 {
   void schedule(long delay_ns, void (*cb)());
+  void schedule_at(long at_ns, void (*cb)());
 };
 
 struct EngineS1 {
@@ -17,4 +18,7 @@ void prime_site(SimS1& s, long d_ns) { s.schedule(d_ns, &arm); }
 void wire_up(EngineS1& eng, long d_ns) {
   // NOLINT-IBWAN(CONC001): construction-time wiring, engine not started
   prime_site(eng.site(0), d_ns);
+  // NOLINT-IBWAN(CONC001): wiring phase — the engine has not started,
+  // so no window is open and the injection cannot race a merge
+  eng.site(0).schedule_at(0, &arm);
 }

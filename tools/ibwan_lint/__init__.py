@@ -3,9 +3,8 @@
 Every figure this repository reproduces depends on byte-identical
 deterministic replay.  This package makes the determinism contract
 machine-checked instead of review-checked: a small rule engine walks a
-token-level model of each translation unit (plus an optional libclang
-AST backend when `clang.cindex` is importable) and reports violations
-of the rules catalogued in DESIGN.md §10.
+token-level model of each translation unit and reports violations of
+the rules catalogued in DESIGN.md §10.
 
 Since v2 the engine is two-pass and flow-aware: pass 1 distills every
 file into a `FileSummary` (function spans, a lightweight call graph,
@@ -21,8 +20,7 @@ Rules shipped here:
   DET002    effectful iteration over unordered containers
   DET003    ordering keyed on pointer values
   DET004    RNG draws that bypass the seeded Simulator streams
-  DET005    direct cross-site scheduling (selector().schedule())
-  CONC001   call chains from a site selector into another LP's queue
+  CONC001   scheduling into another LP's queue, directly or via calls
   CONC002   site-local resources captured into Channel::push callbacks
   CONC003   mutable static state in library code (races --par-sites)
   UNIT001   arithmetic mixing inferred time/byte/rate units

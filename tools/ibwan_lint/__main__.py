@@ -14,7 +14,7 @@ if __package__ in (None, ""):  # `python3 tools/ibwan_lint` (path exec)
         0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     __package__ = "ibwan_lint"
 
-from . import __version__, clang_backend, engine, sarif  # noqa: E402
+from . import __version__, engine, sarif  # noqa: E402
 from .rules import RULES, RULE_DOCS  # noqa: E402
 
 
@@ -29,8 +29,7 @@ def main(argv=None) -> int:
                     default="build/compile_commands.json",
                     help="compile_commands.json (default: "
                          "build/compile_commands.json; used for file "
-                         "discovery and by the libclang backend when "
-                         "available)")
+                         "discovery)")
     ap.add_argument("--rules", metavar="IDS",
                     help="comma-separated rule ids (default: all)")
     ap.add_argument("--list-rules", action="store_true",
@@ -63,8 +62,6 @@ def main(argv=None) -> int:
                          "checking against it")
     ap.add_argument("--show-suppressed", action="store_true",
                     help="also print suppressed findings with reasons")
-    ap.add_argument("--no-clang", action="store_true",
-                    help="skip the libclang backend even if available")
     ap.add_argument("--version", action="version", version=__version__)
     args = ap.parse_args(argv)
 
@@ -84,15 +81,10 @@ def main(argv=None) -> int:
                   file=sys.stderr)
             return 2
 
-    backend = None
-    if not args.no_clang:
-        backend = clang_backend.load(args.compile_commands)
-
     try:
         res = engine.run(args.paths,
                          compile_commands=args.compile_commands,
                          rule_ids=rule_ids,
-                         backend=backend,
                          cache_path=args.cache,
                          changed_only=args.changed_only,
                          metrics_docs=args.metrics_docs)

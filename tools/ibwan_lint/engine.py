@@ -170,7 +170,6 @@ def _lint_one(sf: SourceFile, ctx: ProjectContext,
 def run(paths: Sequence[str], *,
         compile_commands: Optional[str] = None,
         rule_ids: Optional[Sequence[str]] = None,
-        backend=None,
         cache_path: Optional[str] = None,
         changed_only: bool = False,
         metrics_docs: Optional[str] = None) -> RunResult:
@@ -250,21 +249,6 @@ def run(paths: Sequence[str], *,
             "findings": [_finding_to_dict(f) for f in fs],
         }
 
-    if backend is not None and parsed:
-        seen = {(f.path, f.line, f.rule) for f in res.findings}
-        files = [parsed[p] for p in sorted(parsed)]
-        for f in backend.verify(files, ctx):
-            if (f.path, f.line, f.rule) not in seen:
-                sf = parsed.get(f.path)
-                sup = sf.suppression_for(f.rule, f.line) if sf else None
-                if sup is not None:
-                    f.suppressed = True
-                    f.suppress_reason = sup.reason
-                res.findings.append(f)
-                ent = new_cache["files"].get(f.path)
-                if ent is not None:
-                    ent["findings"].append(_finding_to_dict(f))
-
     for rid, project_rule in sorted(PROJECT_RULES.items()):
         if rid in selected:
             res.findings.extend(project_rule(ctx))
@@ -281,7 +265,6 @@ def run(paths: Sequence[str], *,
 
 def run_rules(files: List[SourceFile],
               rule_ids: Optional[Sequence[str]] = None,
-              backend=None,
               metrics_docs: Optional[str] = None) -> List[Finding]:
     """Cache-free entry point over pre-parsed files (tests use this).
     Runs both per-file and project-level rules."""
@@ -291,17 +274,6 @@ def run_rules(files: List[SourceFile],
     findings: List[Finding] = []
     for sf in files:
         findings.extend(_lint_one(sf, ctx, selected))
-    if backend is not None:
-        seen = {(f.path, f.line, f.rule) for f in findings}
-        by_file = {sf.path: sf for sf in files}
-        for f in backend.verify(files, ctx):
-            if (f.path, f.line, f.rule) not in seen:
-                sf = by_file.get(f.path)
-                sup = sf.suppression_for(f.rule, f.line) if sf else None
-                if sup is not None:
-                    f.suppressed = True
-                    f.suppress_reason = sup.reason
-                findings.append(f)
     for rid, project_rule in sorted(PROJECT_RULES.items()):
         if rid in selected:
             findings.extend(project_rule(ctx))

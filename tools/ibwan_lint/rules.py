@@ -434,55 +434,6 @@ def rule_det004(sf: SourceFile, ctx: ProjectContext) -> Iterable[Finding]:
 
 
 # ---------------------------------------------------------------------------
-# DET005 — cross-site state access must go through the WAN channel API.
-# ---------------------------------------------------------------------------
-
-# Accessors that select a specific site's Simulator (sim::SiteEngine /
-# net::Fabric / core::Testbed).
-_SITE_SELECTORS = {"site", "sim_of", "sim_of_node", "sim_of_site", "sim_a",
-                   "sim_b", "sim_for"}
-# Methods that inject events into the selected site's queue.
-_SITE_MUTATORS = {"schedule", "schedule_at"}
-
-
-def rule_det005(sf: SourceFile, ctx: ProjectContext) -> Iterable[Finding]:
-    """Flags `<selector>(...).schedule[_at](...)` chains: scheduling
-    directly into a site picked by a site selector. Under site-parallel
-    execution (DESIGN.md §13) the only legal way for causality to cross
-    an LP boundary is the WAN channel (net::Link in channel mode /
-    sim::SiteEngine::Channel); direct injection bypasses the
-    conservative merge, so the event order — and with worker threads,
-    memory safety — is no longer guaranteed. Wiring code that runs
-    before the engine starts may suppress with a reason."""
-    toks = sf.tokens
-    n = len(toks)
-    for i, t in enumerate(toks):
-        if t.kind != IDENT or t.text not in _SITE_SELECTORS:
-            continue
-        if i + 1 >= n or not (toks[i + 1].kind == PUNCT and
-                              toks[i + 1].text == "("):
-            continue
-        close = _match_paren(toks, i + 1)
-        j = close + 1
-        if j + 2 >= n or toks[j].kind != PUNCT or \
-                toks[j].text not in (".", "->"):
-            continue
-        m = toks[j + 1]
-        if m.kind != IDENT or m.text not in _SITE_MUTATORS:
-            continue
-        if not (toks[j + 2].kind == PUNCT and toks[j + 2].text == "("):
-            continue
-        yield Finding(
-            "DET005", sf.path, t.line, t.col,
-            f"`{t.text}(...)`.{m.text}(...) schedules directly into a "
-            "selected site's event queue: cross-site causality must cross "
-            "the LP boundary through the WAN channel API (net::Link in "
-            "channel mode) — direct injection bypasses the conservative "
-            "merge and breaks determinism under --par-sites "
-            "(DESIGN.md §13)")
-
-
-# ---------------------------------------------------------------------------
 # INV001 — conserved counters must not be written from outside their
 # owning translation-unit pair.
 # ---------------------------------------------------------------------------
@@ -597,9 +548,16 @@ def rule_lnt001(sf: SourceFile, ctx: ProjectContext) -> Iterable[Finding]:
 
 
 # ---------------------------------------------------------------------------
-# CONC001 — site selection flowing into the scheduler through a call
-# chain (DET005 deepened with the pass-1 call graph).
+# CONC001 — site selection flowing into the scheduler, directly or
+# through a call chain (the pass-1 call graph).
 # ---------------------------------------------------------------------------
+
+# Accessors that select a specific site's Simulator (sim::SiteEngine /
+# net::Fabric / core::Testbed).
+_SITE_SELECTORS = {"site", "sim_of", "sim_of_node", "sim_of_site", "sim_a",
+                   "sim_b", "sim_for"}
+# Methods that inject events into the selected site's queue.
+_SITE_MUTATORS = {"schedule", "schedule_at"}
 
 
 def _enclosing_call_name(toks: List[Token], i: int) -> Optional[str]:
@@ -626,13 +584,20 @@ def _enclosing_call_name(toks: List[Token], i: int) -> Optional[str]:
 
 
 def rule_conc001(sf: SourceFile, ctx: ProjectContext) -> Iterable[Finding]:
-    """DET005 catches `site(i).schedule(...)` in one expression.  With
-    the pass-1 call graph we can also catch the indirect forms: calling
-    a method on a selected site that *transitively* reaches
-    schedule/schedule_at, and passing a selected site's Simulator into
-    a free function that does.  Functions that take a `SiteEngine`
-    parameter are engine-aware runners (they own the cross-LP
-    coordination) and are exempt."""
+    """Flags events injected into a site picked by a site selector.
+    Under site-parallel execution (DESIGN.md §13) the only legal way for
+    causality to cross an LP boundary is the WAN channel (net::Link in
+    channel mode / sim::SiteEngine::Channel); direct injection bypasses
+    the conservative merge, so the event order — and with worker
+    threads, memory safety — is no longer guaranteed.
+
+    Chain form: `site(i).m(...)` where m is schedule/schedule_at itself
+    (a chain of length zero) or a method that *transitively* reaches
+    it.  Argument form: passing a selected site's Simulator into a free
+    function that does.  Functions that take a `SiteEngine` parameter
+    are engine-aware runners (they own the cross-LP coordination) and
+    are exempt.  Wiring code that runs before the engine starts may
+    suppress with a reason."""
     idx = ctx.index
     if idx is None:
         return
@@ -646,23 +611,24 @@ def rule_conc001(sf: SourceFile, ctx: ProjectContext) -> Iterable[Finding]:
             continue
         close = _match_paren(toks, i + 1)
         j = close + 1
-        # Chain form: selector(...).m(...) where m reaches the
-        # scheduler through its body (DET005 already owns m being
-        # schedule/schedule_at itself).
+        # Chain form: selector(...).m(...) where m is the scheduler or
+        # reaches it through its body.
         if j + 2 < n and toks[j].kind == PUNCT and \
                 toks[j].text in (".", "->") and \
                 toks[j + 1].kind == IDENT and \
                 toks[j + 2].kind == PUNCT and toks[j + 2].text == "(":
             m = toks[j + 1].text
-            if m not in _SITE_MUTATORS and m in idx.reaches_schedule:
+            if m in _SITE_MUTATORS or m in idx.reaches_schedule:
+                via = "" if m in _SITE_MUTATORS else (
+                    f" through the call graph (`{m}` -> ... -> schedule)")
                 yield Finding(
                     "CONC001", sf.path, t.line, t.col,
-                    f"`{t.text}(...)`.{m}(...) reaches "
-                    "Simulator::schedule through the call graph "
-                    f"(`{m}` -> ... -> schedule): cross-site causality "
-                    "must cross the LP boundary through the WAN channel "
-                    "API, not a call chain into another site's queue "
-                    "(DESIGN.md §13)")
+                    f"`{t.text}(...)`.{m}(...) schedules into a selected "
+                    f"site's event queue{via}: cross-site causality must "
+                    "cross the LP boundary through the WAN channel API "
+                    "(net::Link in channel mode) — direct injection "
+                    "bypasses the conservative merge and breaks "
+                    "determinism under --par-sites (DESIGN.md §13)")
                 continue
         # Argument form: f(selector(...), ...) where f reaches the
         # scheduler and is not an engine-aware runner.
@@ -1031,7 +997,6 @@ RULES = {
     "DET002": rule_det002,
     "DET003": rule_det003,
     "DET004": rule_det004,
-    "DET005": rule_det005,
     "CONC001": rule_conc001,
     "CONC002": rule_conc002,
     "CONC003": rule_conc003,
@@ -1059,11 +1024,9 @@ RULE_DOCS = {
               "std::less<T*>).",
     "DET004": "RNG draws must route through Simulator::rng()/rng_stream(); "
               "no <random> engines, no default-seeded sim::Rng locals.",
-    "DET005": "Cross-site event injection must go through the WAN channel "
-              "API; no site(i)/sim_of*/sim_for(...).schedule[_at](...).",
-    "CONC001": "No call chain from a site selector into another site's "
-               "scheduler (call-graph-deep DET005); engine-aware "
-               "functions taking a SiteEngine are exempt.",
+    "CONC001": "No scheduling into a selected site, directly "
+               "(site(i).schedule(...)) or through a call chain; "
+               "engine-aware functions taking a SiteEngine are exempt.",
     "CONC002": "No site-local Simulator/MetricsRegistry/FlightRecorder/"
                "Rng captured into Channel::push callbacks (they run on "
                "the destination LP).",
