@@ -58,18 +58,6 @@ std::vector<sim::Duration> incast_delay_grid() {
 
 std::vector<int> spoke_grid() { return {2, 4, 8}; }
 
-/// Embedded bursty-loss plan (the ext_sdr_fec shape): ~2% of time in a
-/// bad state losing 20% of packets. Applied to every WAN edge — each
-/// edge's GE chain draws from its own link-name-keyed RNG stream.
-net::FaultPlanConfig bursty_plan() {
-  net::FaultPlanConfig plan;
-  plan.ge.p_good_to_bad = 0.002;
-  plan.ge.p_bad_to_good = 0.1;
-  plan.ge.loss_good = 0.0001;
-  plan.ge.loss_bad = 0.2;
-  return plan;
-}
-
 /// Bytes each spoke streams into the hub. Under an external --faults
 /// plan (the chaos CI determinism check) the volume shrinks: the run's
 /// only purpose there is the sequential-vs-par-sites byte comparison,
@@ -265,7 +253,7 @@ int main(int argc, char** argv) {
       runner.map(incast_delay_grid(), [](sim::Duration delay) {
         DelayPoint r;
         const double x = static_cast<double>(delay) / 1e6;  // ms one-way
-        const net::FaultPlanConfig plan = bursty_plan();
+        const net::FaultPlanConfig plan = net::bursty_loss_plan();
         for (const bool lossy : {false, true}) {
           const net::FaultPlanConfig* p = lossy ? &plan : nullptr;
           const IncastOutcome rc = run_rc_incast(kFixedSpokes, delay, p);
@@ -285,7 +273,7 @@ int main(int argc, char** argv) {
   const auto by_spokes = runner.map(spoke_grid(), [](int spokes) {
     SpokePoint r;
     const double x = spokes;
-    const net::FaultPlanConfig plan = bursty_plan();
+    const net::FaultPlanConfig plan = net::bursty_loss_plan();
     for (const bool lossy : {false, true}) {
       const net::FaultPlanConfig* p = lossy ? &plan : nullptr;
       const IncastOutcome rc = run_rc_incast(spokes, kFixedDelay, p);

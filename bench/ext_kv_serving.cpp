@@ -24,27 +24,24 @@
 // Outputs: p99/goodput CSVs per (transport, delay, fault) series over
 // offered load, the closed-loop mesh table, and one SLO JSON document
 // ("ibwan.kv_slo.v1") with the full kv::SloReport of every run.
-#include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
+#include "core/kv_replicas.hpp"
 #include "core/testbed.hpp"
-#include "ib/hca.hpp"
-#include "ipoib/ipoib.hpp"
 #include "kv/loadgen.hpp"
 #include "kv/replicated.hpp"
 #include "kv/slo.hpp"
-#include "rpc/rpc.hpp"
-#include "sdr/sdr.hpp"
-#include "tcp/tcp.hpp"
 
 using namespace ibwan;
 
 namespace {
+
+using core::KvReplicas;
+using Transport = KvReplicas::Transport;
 
 constexpr int kReplicas = 3;
 constexpr std::uint64_t kValueBytes = 16384;
@@ -55,16 +52,6 @@ constexpr std::uint64_t kKeySpace = 256;
 constexpr sim::Duration kOpTimeout = 250 * sim::kMillisecond;
 constexpr double kSloP99Us = 200'000.0;  // p99 at/above this = cliff
 constexpr double kSloTimeoutRate = 0.05;
-
-enum class Transport { kRc, kTcp, kSdr };
-const char* transport_name(Transport t) {
-  switch (t) {
-    case Transport::kRc: return "rc";
-    case Transport::kTcp: return "tcp";
-    case Transport::kSdr: return "sdr";
-  }
-  return "?";
-}
 
 std::vector<sim::Duration> serving_delay_grid() {
   return {1'000'000, 10'000'000};  // 1 ms, 10 ms one-way
@@ -77,17 +64,6 @@ std::vector<double> load_grid() {
   return {0.1, 0.2, 0.4, 0.8, 1.6, 3.2};
 }
 
-/// The ext_incast bursty-loss shape: ~2% of time in a bad state losing
-/// 20% of packets, on every WAN edge.
-net::FaultPlanConfig bursty_plan() {
-  net::FaultPlanConfig plan;
-  plan.ge.p_good_to_bad = 0.002;
-  plan.ge.p_bad_to_good = 0.1;
-  plan.ge.loss_good = 0.0001;
-  plan.ge.loss_bad = 0.2;
-  return plan;
-}
-
 std::uint64_t total_ops() {
   // Under an external --faults plan (the chaos determinism job) the
   // run's only purpose is the sequential-vs-par-sites byte comparison.
@@ -95,15 +71,8 @@ std::uint64_t total_ops() {
   return 200 * static_cast<std::uint64_t>(bench::scale());
 }
 
-sdr::SdrConfig serving_sdr_config() {
-  sdr::SdrConfig cfg;
-  cfg.scheme = sdr::Scheme::kRs;
-  cfg.parity_per_group = 4;
-  return cfg;
-}
-
-/// Wires one coordinator against kReplicas replica servers over the
-/// chosen transport and drives `load` to completion. The coordinator,
+/// Wires one coordinator against one replica server per replica site
+/// over the chosen transport and drives `load` to completion. The coordinator,
 /// generator, and all RPC clients live on the client node's simulator;
 /// replicas interact with it only through the wire (site-parallel safe).
 kv::SloReport run_serving(Transport transport,
@@ -115,78 +84,11 @@ kv::SloReport run_serving(Transport transport,
                           const kv::LoadGenConfig& load) {
   core::Testbed tb(core::TestbedOptions{
       .topology = &topo, .wan_delay = delay, .faults = plan});
-  net::Fabric& fabric = tb.fabric();
   const net::NodeId client_node = tb.node_at(client_site, client_idx);
   std::vector<net::NodeId> replica_nodes;
   for (const int s : replica_sites) replica_nodes.push_back(tb.node_at(s));
-
-  struct Replica {
-    std::unique_ptr<ib::Hca> hca;
-    std::unique_ptr<kv::ReplicaServer> server;
-    // Transport-specific endpoints (only one set is populated).
-    std::unique_ptr<rpc::RdmaRpcServer> rdma_server;
-    std::unique_ptr<rpc::RdmaRpcClient> rdma_client;
-    std::unique_ptr<ipoib::IpoibDevice> dev;
-    std::unique_ptr<tcp::TcpStack> stack;
-    std::unique_ptr<rpc::TcpRpcServer> tcp_server;
-    std::unique_ptr<rpc::TcpRpcClient> tcp_client;
-    std::unique_ptr<rpc::SdrRpcServer> sdr_server;
-    std::unique_ptr<rpc::SdrRpcClient> sdr_client;
-  };
-
-  ib::Hca client_hca(fabric.node(client_node), {});
-  std::unique_ptr<ipoib::IpoibDevice> client_dev;
-  std::unique_ptr<tcp::TcpStack> client_stack;
-  if (transport == Transport::kTcp) {
-    client_dev = std::make_unique<ipoib::IpoibDevice>(client_hca,
-                                                      core::ipoib_ud());
-    client_stack =
-        std::make_unique<tcp::TcpStack>(*client_dev, core::tcp_window());
-  }
-
-  std::vector<std::unique_ptr<Replica>> reps;
-  std::vector<rpc::RpcClient*> channels;
-  for (int i = 0; i < kReplicas; ++i) {
-    const net::NodeId rn = replica_nodes[static_cast<std::size_t>(i)];
-    auto r = std::make_unique<Replica>();
-    r->hca = std::make_unique<ib::Hca>(fabric.node(rn), ib::HcaConfig{});
-    r->server =
-        std::make_unique<kv::ReplicaServer>(tb.sim_for(rn), rn, kv::ReplicaConfig{});
-    for (std::uint64_t k = 0; k < kKeySpace; ++k) {
-      r->server->preload(k, load.value_bytes);
-    }
-    switch (transport) {
-      case Transport::kRc:
-        r->rdma_server = std::make_unique<rpc::RdmaRpcServer>(*r->hca);
-        r->rdma_server->set_handler(r->server->handler());
-        r->rdma_client =
-            std::make_unique<rpc::RdmaRpcClient>(client_hca, *r->rdma_server);
-        channels.push_back(r->rdma_client.get());
-        break;
-      case Transport::kTcp: {
-        r->dev = std::make_unique<ipoib::IpoibDevice>(*r->hca,
-                                                      core::ipoib_ud());
-        ipoib::IpoibDevice::link(*client_dev, *r->dev);
-        r->stack = std::make_unique<tcp::TcpStack>(*r->dev,
-                                                   core::tcp_window());
-        r->tcp_server = std::make_unique<rpc::TcpRpcServer>(*r->stack, 7000);
-        r->tcp_server->set_handler(r->server->handler());
-        r->tcp_client = std::make_unique<rpc::TcpRpcClient>(
-            *client_stack, r->stack->lid(), 7000);
-        channels.push_back(r->tcp_client.get());
-        break;
-      }
-      case Transport::kSdr:
-        r->sdr_server = std::make_unique<rpc::SdrRpcServer>(
-            *r->hca, serving_sdr_config());
-        r->sdr_server->set_handler(r->server->handler());
-        r->sdr_client = std::make_unique<rpc::SdrRpcClient>(
-            client_hca, *r->sdr_server, serving_sdr_config());
-        channels.push_back(r->sdr_client.get());
-        break;
-    }
-    reps.push_back(std::move(r));
-  }
+  KvReplicas replicas(tb.fabric(), client_node, replica_nodes, transport);
+  replicas.preload(kKeySpace, load.value_bytes);
 
   kv::QuorumConfig qc;
   qc.read_quorum = 2;
@@ -194,7 +96,7 @@ kv::SloReport run_serving(Transport transport,
   qc.op_timeout = kOpTimeout;
   qc.max_retries = 1;
   kv::ReplicatedKv coord(tb.sim_for(client_node), client_node,
-                         std::move(channels), qc);
+                         replicas.channels(), qc);
   kv::LoadGen gen(tb.sim_for(client_node), coord, load);
   gen.start();
   tb.run();
@@ -257,7 +159,7 @@ int main(int argc, char** argv) {
   bench::SweepRunner runner;
   const auto open_runs = runner.map(points, [&hub](const OpenRun& p) {
     OpenRun r = p;
-    const net::FaultPlanConfig plan = bursty_plan();
+    const net::FaultPlanConfig plan = net::bursty_loss_plan();
     r.slo = run_serving(r.transport, hub, /*client_site=*/0, /*client_idx=*/0,
                         {1, 2, 3}, r.delay, r.bursty ? &plan : nullptr,
                         open_load(r.kops));
@@ -269,7 +171,7 @@ int main(int argc, char** argv) {
   core::Table goodput("(b) open-loop goodput (kops/s) vs offered load",
                       "offered_kops");
   for (const OpenRun& r : open_runs) {
-    const std::string series = std::string(transport_name(r.transport)) +
+    const std::string series = std::string(KvReplicas::name(r.transport)) +
                                "-" + std::to_string(r.delay / 1'000'000) +
                                "ms" + (r.bursty ? "-bursty" : "");
     p99.add(series, r.kops, r.slo.p99_us);
@@ -310,7 +212,7 @@ int main(int argc, char** argv) {
                        "3-site mesh at 10 ms",
                        "concurrency");
   for (const ClosedRun& r : closed_runs) {
-    mesh_tbl.add(transport_name(r.transport), r.concurrency,
+    mesh_tbl.add(KvReplicas::name(r.transport), r.concurrency,
                  r.slo.goodput_kops);
   }
 
@@ -329,7 +231,7 @@ int main(int argc, char** argv) {
         std::fprintf(
             f, "%s{\"mode\":\"open\",\"transport\":\"%s\",\"oneway_ms\":%llu,"
             "\"bursty\":%s,\"offered_kops\":%.3f,\"slo\":%s}",
-            first ? "" : ",\n", transport_name(r.transport),
+            first ? "" : ",\n", KvReplicas::name(r.transport),
             static_cast<unsigned long long>(r.delay / 1'000'000),
             r.bursty ? "true" : "false", r.kops, kv::to_json(r.slo).c_str());
         first = false;
@@ -338,7 +240,7 @@ int main(int argc, char** argv) {
         std::fprintf(
             f, "%s{\"mode\":\"closed\",\"transport\":\"%s\",\"oneway_ms\":10,"
             "\"bursty\":false,\"concurrency\":%d,\"slo\":%s}",
-            first ? "" : ",\n", transport_name(r.transport), r.concurrency,
+            first ? "" : ",\n", KvReplicas::name(r.transport), r.concurrency,
             kv::to_json(r.slo).c_str());
         first = false;
       }
@@ -355,7 +257,7 @@ int main(int argc, char** argv) {
     auto& report = check::selfcheck_report();
     for (const OpenRun& r : open_runs) {
       const std::string ctx =
-          std::string("open ") + transport_name(r.transport) + " " +
+          std::string("open ") + KvReplicas::name(r.transport) + " " +
           std::to_string(r.delay / 1'000'000) + "ms" +
           (r.bursty ? " bursty" : "") + " kops=" + std::to_string(r.kops);
       report.expect_eq_u64("kv-op-accounting", ctx,
@@ -364,7 +266,7 @@ int main(int argc, char** argv) {
     }
     for (const ClosedRun& r : closed_runs) {
       const std::string ctx = std::string("closed ") +
-                              transport_name(r.transport) +
+                              KvReplicas::name(r.transport) +
                               " c=" + std::to_string(r.concurrency);
       report.expect_eq_u64("kv-op-accounting", ctx,
                            r.slo.completed + r.slo.timed_out + r.slo.aborted,
@@ -381,7 +283,7 @@ int main(int argc, char** argv) {
       const double floor =
           2.0 * check::topology_oneway_floor_us(hub, 0, 1, r.delay);
       const std::string ctx =
-          std::string("open ") + transport_name(r.transport) + " " +
+          std::string("open ") + KvReplicas::name(r.transport) + " " +
           std::to_string(r.delay / 1'000'000) +
           "ms kops=" + std::to_string(r.kops);
       report.expect_ge("kv-quorum-floor", ctx, r.slo.min_us, floor);

@@ -38,17 +38,6 @@ std::vector<sim::Duration> fec_delay_grid() {
   return {0, 1'000'000, 10'000'000, 20'000'000, 40'000'000};
 }
 
-/// The embedded bursty-loss plan (examples/chaos_plan.json shape):
-/// ~2% of time in the bad state losing 20% of packets in bursts.
-net::FaultPlanConfig bursty_plan(double loss_bad = 0.2) {
-  net::FaultPlanConfig plan;
-  plan.ge.p_good_to_bad = 0.002;
-  plan.ge.p_bad_to_good = 0.1;
-  plan.ge.loss_good = 0.0001;
-  plan.ge.loss_bad = loss_bad;
-  return plan;
-}
-
 struct SdrOutcome {
   double goodput = 0;       // delivered MB/s over the whole run
   double overhead_pct = 0;  // (parity + retrans) / data chunks, %
@@ -177,7 +166,7 @@ int main(int argc, char** argv) {
       runner.map(fec_delay_grid(), [&](sim::Duration delay) {
         PointResult r;
         const double x = static_cast<double>(delay) / 1e6;  // ms one-way
-        const net::FaultPlanConfig plan = bursty_plan();
+        const net::FaultPlanConfig plan = net::bursty_loss_plan();
         for (const SdrSeries& s : kSdrSeries) {
           const SdrOutcome clean =
               run_sdr(delay, nullptr, s.scheme, s.parity, s.adaptive);
@@ -217,7 +206,7 @@ int main(int argc, char** argv) {
   };
   const auto loss_results = runner.map(loss_grid, [&](double loss_bad) {
     LossResult r;
-    const net::FaultPlanConfig plan = bursty_plan(loss_bad);
+    const net::FaultPlanConfig plan = net::bursty_loss_plan(loss_bad);
     constexpr sim::Duration kFar = 40'000'000;
     r.rows.push_back(
         {"sdr-rs", loss_bad,

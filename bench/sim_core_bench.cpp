@@ -34,19 +34,18 @@
 #include <vector>
 
 #include "apps/nas.hpp"
+#include "core/kv_replicas.hpp"
 #include "core/parallel.hpp"
 #include "core/testbed.hpp"
 #include "ib/cq.hpp"
 #include "ib/hca.hpp"
 #include "ib/qp.hpp"
-#include "kv/kv.hpp"
 #include "kv/loadgen.hpp"
 #include "kv/replicated.hpp"
 #include "kv/slo.hpp"
 #include "mpi/mpi.hpp"
 #include "net/fabric.hpp"
 #include "net/topology.hpp"
-#include "rpc/rpc.hpp"
 #include "sim/simulator.hpp"
 
 namespace baseline {
@@ -361,25 +360,29 @@ PdesRun run_nas_scenario(const apps::NasBenchmark& b, int per_cluster) {
   return {tb.engine().events_executed(), secs};
 }
 
+/// The ext_kv_datacenter workload with 4 KB values: closed-loop workers
+/// against one replica (R = W = N = 1) across the WAN.
 PdesRun run_kv_scenario(int clients, int ops_per_client) {
   core::Testbed tb(1, 1'000'000);
-  ib::Hca server_hca(tb.fabric().node(tb.node_a()), {});
-  ib::Hca client_hca(tb.fabric().node(tb.node_b()), {});
-  rpc::RdmaRpcServer rpc_server(server_hca);
-  rpc::RdmaRpcClient rpc_client(client_hca, rpc_server);
-  kv::KvServer server(tb.sim_a());
-  rpc_server.set_handler(server.handler());
-  for (std::uint64_t k = 0; k < 256; ++k) server.preload(k, 4096);
-  kv::KvClient client(rpc_client);
-  const kv::KvResult r =
-      kv::run_kv_workload(tb.sim_for(tb.node_b()), client,
-                          {.clients = clients,
-                           .ops_per_client = ops_per_client,
-                           .get_fraction = 0.9,
-                           .value_bytes = 4096,
-                           .key_space = 256},
-                          &tb.engine());
-  return {tb.engine().events_executed(), r.kops_per_sec};
+  const net::NodeId client = tb.node_b();
+  core::KvReplicas replicas(tb.fabric(), client, {tb.node_a()},
+                            core::KvReplicas::Transport::kRc);
+  replicas.preload(256, 4096);
+  kv::ReplicatedKv coord(
+      tb.sim_for(client), client, replicas.channels(),
+      {.read_quorum = 1, .write_quorum = 1, .op_timeout = 10 * sim::kSecond});
+  kv::LoadGen gen(
+      tb.sim_for(client), coord,
+      {.concurrency = clients,
+       .total_ops = static_cast<std::uint64_t>(clients * ops_per_client),
+       .get_fraction = 0.9,
+       .key_space = 256,
+       .zipf_s = 0,
+       .value_bytes = 4096});
+  gen.start();
+  tb.run();
+  return {tb.engine().events_executed(),
+          kv::make_slo_report(gen.stats()).goodput_kops};
 }
 
 /// Concurrent RC incast on an N-site hub/spoke graph (one node per
@@ -460,33 +463,16 @@ PdesRun run_serving_scenario(int sites, std::uint64_t total_ops) {
   net::TopologyConfig topo = net::TopologyConfig::full_mesh(sites, 2);
   core::Testbed tb(core::TestbedOptions{.topology = &topo,
                                         .wan_delay = 1'000'000});
-  net::Fabric& fabric = tb.fabric();
   const net::NodeId client_node = tb.node_at(0, 1);
-  ib::Hca client_hca(fabric.node(client_node), {});
-  std::vector<std::unique_ptr<ib::Hca>> hcas;
-  std::vector<std::unique_ptr<rpc::RdmaRpcServer>> servers;
-  std::vector<std::unique_ptr<kv::ReplicaServer>> replicas;
-  std::vector<std::unique_ptr<rpc::RdmaRpcClient>> clients;
-  std::vector<rpc::RpcClient*> channels;
-  for (int s = 0; s < sites; ++s) {
-    const net::NodeId node = tb.node_at(s);
-    hcas.push_back(
-        std::make_unique<ib::Hca>(fabric.node(node), ib::HcaConfig{}));
-    servers.push_back(std::make_unique<rpc::RdmaRpcServer>(*hcas.back()));
-    replicas.push_back(
-        std::make_unique<kv::ReplicaServer>(tb.sim_for(node), node));
-    servers.back()->set_handler(replicas.back()->handler());
-    clients.push_back(
-        std::make_unique<rpc::RdmaRpcClient>(client_hca, *servers.back()));
-    channels.push_back(clients.back().get());
-    for (std::uint64_t k = 0; k < 64; ++k) {
-      replicas.back()->preload(k, 4096, kv::Version{1, 0});
-    }
-  }
+  std::vector<net::NodeId> replica_nodes;
+  for (int s = 0; s < sites; ++s) replica_nodes.push_back(tb.node_at(s));
+  core::KvReplicas replicas(tb.fabric(), client_node, replica_nodes,
+                            core::KvReplicas::Transport::kRc);
+  replicas.preload(64, 4096);
   kv::QuorumConfig qc;
   qc.op_timeout = 250 * sim::kMillisecond;
   kv::ReplicatedKv coord(tb.sim_for(client_node), client_node,
-                         std::move(channels), qc);
+                         replicas.channels(), qc);
   kv::LoadGenConfig lc;
   lc.mode = kv::ArrivalMode::kOpen;
   lc.offered_kops = 0.8;

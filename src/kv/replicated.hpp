@@ -71,8 +71,8 @@ struct ReplicaConfig {
 };
 
 /// One replica server: a versioned store with monotone last-writer-wins
-/// apply, dispatched behind any RPC transport. Requests serialize on a
-/// single server CPU like the single-server KvServer.
+/// apply, dispatched behind any RPC transport (core::KvReplicas wires
+/// it). Requests serialize on a single server CPU.
 class ReplicaServer {
  public:
   /// Accounting; requests == replies is oracle-checked per scope

@@ -485,6 +485,15 @@ bool load_fault_plan(const std::string& path, FaultPlanConfig* out,
   return parse_fault_plan(text, out, err);
 }
 
+FaultPlanConfig bursty_loss_plan(double loss_bad) {
+  FaultPlanConfig plan;
+  plan.ge.p_good_to_bad = 0.002;
+  plan.ge.p_bad_to_good = 0.1;
+  plan.ge.loss_good = 0.0001;
+  plan.ge.loss_bad = loss_bad;
+  return plan;
+}
+
 const FaultPlanConfig* global_fault_plan() {
   const auto& slot = global_plan_slot();
   return slot.has_value() ? &*slot : nullptr;

@@ -80,6 +80,11 @@ struct FaultPlanConfig {
   }
 };
 
+/// The benches' embedded bursty-loss plan (the examples/chaos_plan.json
+/// shape): ~2% of time in the bad state, losing `loss_bad` of packets
+/// in bursts there and 0.01% in the good state.
+FaultPlanConfig bursty_loss_plan(double loss_bad = 0.2);
+
 /// Drives one Link's fault hooks from a FaultPlanConfig. Construct
 /// after Simulator::seed() so the named streams derive from the run
 /// seed. Windows already in the past are applied at the current

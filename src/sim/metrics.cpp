@@ -6,21 +6,6 @@ namespace ibwan::sim {
 
 namespace {
 
-// Lower-bin-edge quantile over power-of-two bins (same convention as
-// LogHistogram::quantile, but usable on merged snapshot bins).
-std::uint64_t bins_quantile(const std::vector<std::uint64_t>& bins,
-                            std::uint64_t total, double p) {
-  if (total == 0) return 0;
-  const auto target =
-      static_cast<std::uint64_t>(p * static_cast<double>(total));
-  std::uint64_t seen = 0;
-  for (std::size_t i = 0; i < bins.size(); ++i) {
-    seen += bins[i];
-    if (seen > target) return i == 0 ? 0 : (1ULL << (i - 1));
-  }
-  return bins.size() < 2 ? 0 : (1ULL << (bins.size() - 2));
-}
-
 void json_string(std::FILE* out, const std::string& s) {
   std::fputc('"', out);
   for (char c : s) {
@@ -185,8 +170,8 @@ void MetricsSnapshot::merge(const MetricsSnapshot& other) {
                if (b.bins.size() > a.bins.size()) a.bins.resize(b.bins.size(), 0);
                for (std::size_t i = 0; i < b.bins.size(); ++i)
                  a.bins[i] += b.bins[i];
-               a.p50 = bins_quantile(a.bins, a.count, 0.50);
-               a.p99 = bins_quantile(a.bins, a.count, 0.99);
+               a.p50 = LogHistogram::quantile(a.bins, a.count, 0.50);
+               a.p99 = LogHistogram::quantile(a.bins, a.count, 0.99);
              });
 }
 

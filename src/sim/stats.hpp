@@ -68,23 +68,28 @@ class LogHistogram {
 
   const std::vector<std::uint64_t>& bins() const { return bins_; }
 
-  /// Approximate p-quantile (returns the lower edge of the bin). The
-  /// p≈1.0 fall-through lands in the last occupied bin and must report
-  /// the same lower edge the in-loop path would — not the upper edge.
-  std::uint64_t quantile(double p) const {
-    if (total_ == 0) return 0;
+  /// Approximate p-quantile (returns the lower edge of the bin).
+  std::uint64_t quantile(double p) const { return quantile(bins_, total_, p); }
+
+  /// The quantile rule over raw bins holding `total` samples, shared
+  /// with merged metrics snapshots. The p≈1.0 fall-through lands in the
+  /// last occupied bin and must report the same lower edge the in-loop
+  /// path would — not the upper edge.
+  static std::uint64_t quantile(const std::vector<std::uint64_t>& bins,
+                                std::uint64_t total, double p) {
+    if (total == 0) return 0;
     // Clamp before the cast: converting a negative or NaN double to an
     // unsigned integer is undefined behaviour. !(p > 0) catches NaN too.
     if (!(p > 0.0)) p = 0.0;
     if (p > 1.0) p = 1.0;
     const auto target =
-        static_cast<std::uint64_t>(p * static_cast<double>(total_));
+        static_cast<std::uint64_t>(p * static_cast<double>(total));
     std::uint64_t seen = 0;
-    for (std::size_t i = 0; i < bins_.size(); ++i) {
-      seen += bins_[i];
+    for (std::size_t i = 0; i < bins.size(); ++i) {
+      seen += bins[i];
       if (seen > target) return i == 0 ? 0 : (1ULL << (i - 1));
     }
-    return bins_.size() < 2 ? 0 : (1ULL << (bins_.size() - 2));
+    return bins.size() < 2 ? 0 : (1ULL << (bins.size() - 2));
   }
 
  private:

@@ -1,11 +1,12 @@
-// Single-server RDMA key-value service (moved from ext/kv_pfs_test.cpp
-// when the replicated serving suite split the KV tests out).
+// The quorum KV stack on a single replica (R = W = N = 1): GET and PUT
+// through the coordinator, WAN latency, and closed-loop LoadGen runs.
 #include <gtest/gtest.h>
 
-#include "ib/hca.hpp"
-#include "kv/kv.hpp"
+#include "core/kv_replicas.hpp"
+#include "kv/loadgen.hpp"
+#include "kv/replicated.hpp"
+#include "kv/slo.hpp"
 #include "net/fabric.hpp"
-#include "rpc/rpc.hpp"
 #include "sim/simulator.hpp"
 #include "sim/task.hpp"
 
@@ -14,60 +15,75 @@ namespace {
 
 using namespace ibwan::sim::literals;
 
+/// One RC replica on node 0, the client on node 1, across the WAN.
 struct KvWorld {
   explicit KvWorld(sim::Duration delay = 0)
       : fabric(sim, {.nodes_a = 1, .nodes_b = 1}),
-        server_hca(fabric.node(0), {}),
-        client_hca(fabric.node(1), {}),
-        rpc_server(server_hca),
-        rpc_client(client_hca, rpc_server),
-        server(sim),
-        client(rpc_client) {
+        replicas(fabric, 1, {0}, core::KvReplicas::Transport::kRc),
+        coord(sim, 1, replicas.channels(),
+              {.read_quorum = 1, .write_quorum = 1}) {
     fabric.set_wan_delay(delay);
-    rpc_server.set_handler(server.handler());
   }
+  kv::ReplicaServer& server() { return replicas.replica(0); }
+
   sim::Simulator sim;
   net::Fabric fabric;
-  ib::Hca server_hca, client_hca;
-  rpc::RdmaRpcServer rpc_server;
-  rpc::RdmaRpcClient rpc_client;
-  kv::KvServer server;
-  kv::KvClient client;
+  core::KvReplicas replicas;
+  kv::ReplicatedKv coord;
 };
+
+/// Drains a closed loop of `workers` workers sharing `ops` ops over 64
+/// uniformly drawn keys.
+kv::SloReport run_closed(KvWorld& w, int workers, std::uint64_t ops,
+                         double get_fraction, std::uint64_t value_bytes) {
+  kv::LoadGen gen(w.sim, w.coord,
+                  {.concurrency = workers,
+                   .total_ops = ops,
+                   .get_fraction = get_fraction,
+                   .key_space = 64,
+                   .zipf_s = 0,
+                   .value_bytes = value_bytes});
+  gen.start();
+  w.sim.run();
+  EXPECT_TRUE(gen.done());
+  return kv::make_slo_report(gen.stats());
+}
 
 TEST(Kv, GetReturnsValueSizeAndMissReturnsZero) {
   KvWorld w;
-  w.server.preload(5, 4096);
-  std::uint64_t hit = 1, miss = 1;
-  [](KvWorld& kw, std::uint64_t* h, std::uint64_t* m) -> sim::Task {
-    *h = co_await kw.client.get(5);
-    *m = co_await kw.client.get(6);
+  w.server().preload(5, 4096);
+  kv::OpResult hit{}, miss{};
+  [](KvWorld& kw, kv::OpResult* h, kv::OpResult* m) -> sim::Task {
+    *h = co_await kw.coord.get(5);
+    *m = co_await kw.coord.get(6);
   }(w, &hit, &miss);
   w.sim.run();
-  EXPECT_EQ(hit, 4096u);
-  EXPECT_EQ(miss, 0u);
-  EXPECT_EQ(w.server.stats().gets, 2u);
-  EXPECT_EQ(w.server.stats().misses, 1u);
+  EXPECT_EQ(hit.status, kv::OpStatus::kCompleted);
+  EXPECT_EQ(miss.status, kv::OpStatus::kCompleted);
+  EXPECT_EQ(hit.value_bytes, 4096u);
+  EXPECT_EQ(miss.value_bytes, 0u);
+  EXPECT_EQ(w.server().stats().reads_served, 2u);
+  EXPECT_EQ(w.server().stats().read_misses, 1u);
 }
 
 TEST(Kv, PutStoresValue) {
   KvWorld w;
   [](KvWorld& kw) -> sim::Task {
-    co_await kw.client.put(9, 100'000);
+    co_await kw.coord.put(9, 100'000);
   }(w);
   w.sim.run();
-  EXPECT_EQ(w.server.value_size(9), 100'000u);
-  EXPECT_EQ(w.server.stats().puts, 1u);
+  EXPECT_EQ(w.server().value_size(9), 100'000u);
+  EXPECT_EQ(w.server().stats().writes_applied, 1u);
 }
 
 TEST(Kv, GetLatencyTracksWanDelay) {
   auto latency_us = [](sim::Duration delay) {
     KvWorld w(delay);
-    w.server.preload(1, 128);
+    w.server().preload(1, 128);
     sim::Time t0 = 0, t1 = 0;
     [](KvWorld& kw, sim::Time* a, sim::Time* b) -> sim::Task {
       *a = kw.sim.now();
-      co_await kw.client.get(1);
+      co_await kw.coord.get(1);
       *b = kw.sim.now();
     }(w, &t0, &t1);
     w.sim.run();
@@ -82,29 +98,23 @@ TEST(Kv, GetLatencyTracksWanDelay) {
 
 TEST(Kv, WorkloadRunsAllOps) {
   KvWorld w(100_us);
-  for (std::uint64_t k = 0; k < 64; ++k) w.server.preload(k, 4096);
-  const kv::KvWorkloadConfig cfg{.clients = 4,
-                                 .ops_per_client = 50,
-                                 .get_fraction = 0.8,
-                                 .value_bytes = 4096,
-                                 .key_space = 64};
-  const auto r = kv::run_kv_workload(w.sim, w.client, cfg);
-  EXPECT_EQ(r.ops, 200u);
-  EXPECT_GT(r.kops_per_sec, 0.0);
-  EXPECT_GT(r.avg_latency_us, 200.0);  // at least the RTT
-  EXPECT_EQ(w.server.stats().gets + w.server.stats().puts, 200u);
+  w.replicas.preload(64, 4096);
+  const kv::SloReport r = run_closed(w, 4, 200, 0.8, 4096);
+  EXPECT_EQ(r.issued, 200u);
+  EXPECT_EQ(r.completed, 200u);
+  EXPECT_GT(r.goodput_kops, 0.0);
+  EXPECT_GT(r.mean_us, 200.0);  // at least the RTT
+  const kv::ReplicaServer::Stats& st = w.server().stats();
+  EXPECT_EQ(st.reads_served + st.writes_applied + st.writes_stale, 200u);
 }
 
 TEST(Kv, MoreClientsRaiseThroughputUnderDelay) {
-  auto kops = [](int clients) {
+  auto kops = [](int workers) {
     KvWorld w(1000_us);
-    for (std::uint64_t k = 0; k < 64; ++k) w.server.preload(k, 1024);
-    return kv::run_kv_workload(w.sim, w.client,
-                               {.clients = clients,
-                                .ops_per_client = 40,
-                                .value_bytes = 1024,
-                                .key_space = 64})
-        .kops_per_sec;
+    w.replicas.preload(64, 1024);
+    return run_closed(w, workers, 40 * static_cast<std::uint64_t>(workers),
+                      0.9, 1024)
+        .goodput_kops;
   };
   EXPECT_GT(kops(8), 4.0 * kops(1));
 }

@@ -9,17 +9,15 @@
 #include <gtest/gtest.h>
 
 #include <map>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "check/scenario_gen.hpp"
+#include "core/kv_replicas.hpp"
 #include "core/testbed.hpp"
-#include "ib/hca.hpp"
 #include "kv/replicated.hpp"
 #include "net/topology.hpp"
-#include "rpc/rpc.hpp"
 #include "sim/rng.hpp"
 #include "sim/task.hpp"
 
@@ -48,27 +46,11 @@ void run_case(std::uint64_t seed, int sites, std::vector<Violation>* bad,
                                         .wan_delay = 1'000'000,
                                         .seed = seed,
                                         .faults = &plan});
-  net::Fabric& fabric = tb.fabric();
-
   const net::NodeId client_node = tb.node_at(0, 1);
-  ib::Hca client_hca(fabric.node(client_node), {});
-  std::vector<std::unique_ptr<ib::Hca>> hcas;
-  std::vector<std::unique_ptr<rpc::RdmaRpcServer>> servers;
-  std::vector<std::unique_ptr<kv::ReplicaServer>> replicas;
-  std::vector<std::unique_ptr<rpc::RdmaRpcClient>> clients;
-  std::vector<rpc::RpcClient*> channels;
-  for (int s = 0; s < sites; ++s) {
-    const net::NodeId node = tb.node_at(s);
-    hcas.push_back(
-        std::make_unique<ib::Hca>(fabric.node(node), ib::HcaConfig{}));
-    servers.push_back(std::make_unique<rpc::RdmaRpcServer>(*hcas.back()));
-    replicas.push_back(std::make_unique<kv::ReplicaServer>(
-        tb.sim_for(node), node));
-    servers.back()->set_handler(replicas.back()->handler());
-    clients.push_back(
-        std::make_unique<rpc::RdmaRpcClient>(client_hca, *servers.back()));
-    channels.push_back(clients.back().get());
-  }
+  std::vector<net::NodeId> replica_nodes;
+  for (int s = 0; s < sites; ++s) replica_nodes.push_back(tb.node_at(s));
+  core::KvReplicas replicas(tb.fabric(), client_node, replica_nodes,
+                            core::KvReplicas::Transport::kRc);
 
   kv::QuorumConfig qc;
   qc.read_quorum = sites / 2 + 1;
@@ -76,7 +58,7 @@ void run_case(std::uint64_t seed, int sites, std::vector<Violation>* bad,
   qc.op_timeout = 20 * sim::kMillisecond;
   qc.max_retries = 1;
   kv::ReplicatedKv coord(tb.sim_for(client_node), client_node,
-                         std::move(channels), qc);
+                         replicas.channels(), qc);
 
   [](sim::Simulator&, kv::ReplicatedKv& kv,
      std::vector<Violation>* out) -> sim::Task {

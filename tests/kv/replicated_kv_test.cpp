@@ -4,10 +4,9 @@
 // unreachable must resolve to a clean timeout/abort instead of a hang.
 #include <gtest/gtest.h>
 
-#include <memory>
-#include <vector>
+#include <algorithm>
 
-#include "ib/hca.hpp"
+#include "core/kv_replicas.hpp"
 #include "kv/replicated.hpp"
 #include "net/fabric.hpp"
 #include "rpc/rpc.hpp"
@@ -33,34 +32,15 @@ rpc::Handler black_hole(sim::Simulator& sim) {
 
 /// Client on node 0, three RC-transport replicas on nodes 1..3.
 struct World {
-  explicit World(kv::QuorumConfig qc, sim::Duration delay = 0)
+  explicit World(kv::QuorumConfig qc)
       : fabric(sim, {.nodes_a = 2, .nodes_b = 2}),
-        client_hca(fabric.node(0), {}) {
-    fabric.set_wan_delay(delay);
-    std::vector<rpc::RpcClient*> channels;
-    for (int i = 0; i < 3; ++i) {
-      const net::NodeId node = static_cast<net::NodeId>(i + 1);
-      hcas.push_back(std::make_unique<ib::Hca>(fabric.node(node),
-                                               ib::HcaConfig{}));
-      servers.push_back(std::make_unique<rpc::RdmaRpcServer>(*hcas.back()));
-      replicas.push_back(std::make_unique<kv::ReplicaServer>(sim, node));
-      servers.back()->set_handler(replicas.back()->handler());
-      clients.push_back(std::make_unique<rpc::RdmaRpcClient>(
-          client_hca, *servers.back()));
-      channels.push_back(clients.back().get());
-    }
-    coord = std::make_unique<kv::ReplicatedKv>(sim, 0, std::move(channels),
-                                               qc);
-  }
+        replicas(fabric, 0, {1, 2, 3}, core::KvReplicas::Transport::kRc),
+        coord(sim, 0, replicas.channels(), qc) {}
 
   sim::Simulator sim;
   net::Fabric fabric;
-  ib::Hca client_hca;
-  std::vector<std::unique_ptr<ib::Hca>> hcas;
-  std::vector<std::unique_ptr<rpc::RdmaRpcServer>> servers;
-  std::vector<std::unique_ptr<kv::ReplicaServer>> replicas;
-  std::vector<std::unique_ptr<rpc::RdmaRpcClient>> clients;
-  std::unique_ptr<kv::ReplicatedKv> coord;
+  core::KvReplicas replicas;
+  kv::ReplicatedKv coord;
 };
 
 TEST(QuorumConfig, ValidateRejectsUnsafeAndMalformedConfigs) {
@@ -88,18 +68,18 @@ TEST(ReplicatedKv, WriteThenReadReturnsWrittenVersion) {
   World w({});
   kv::OpResult put{}, get{};
   [](World& ww, kv::OpResult* p, kv::OpResult* g) -> sim::Task {
-    *p = co_await ww.coord->put(7, 4096);
-    *g = co_await ww.coord->get(7);
+    *p = co_await ww.coord.put(7, 4096);
+    *g = co_await ww.coord.get(7);
   }(w, &put, &get);
   w.sim.run();
   EXPECT_EQ(put.status, kv::OpStatus::kCompleted);
   EXPECT_EQ(get.status, kv::OpStatus::kCompleted);
   EXPECT_EQ(get.version, put.version);
   EXPECT_EQ(get.value_bytes, 4096u);
-  EXPECT_EQ(w.coord->stats().ops_completed, 2u);
+  EXPECT_EQ(w.coord.stats().ops_completed, 2u);
   // The write eventually lands on every replica, not just the quorum.
-  for (const auto& r : w.replicas) {
-    EXPECT_EQ(r->version_of(7), put.version);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(w.replicas.replica(i).version_of(7), put.version);
   }
 }
 
@@ -109,39 +89,40 @@ TEST(ReplicatedKv, ReadRepairPushesNewestVersionToStaleReplica) {
   qc.write_quorum = 1;
   World w(qc);
   const kv::Version newest{500, 1};
-  w.replicas[0]->preload(3, 2048, newest);
-  w.replicas[1]->preload(3, 2048, newest);
-  w.replicas[2]->preload(3, 1024, kv::Version{100, 1});  // stale
+  w.replicas.replica(0).preload(3, 2048, newest);
+  w.replicas.replica(1).preload(3, 2048, newest);
+  w.replicas.replica(2).preload(3, 1024, kv::Version{100, 1});  // stale
   kv::OpResult get{};
   [](World& ww, kv::OpResult* g) -> sim::Task {
-    *g = co_await ww.coord->get(3);
+    *g = co_await ww.coord.get(3);
   }(w, &get);
   w.sim.run();
   EXPECT_EQ(get.status, kv::OpStatus::kCompleted);
   EXPECT_EQ(get.version, newest);
   EXPECT_EQ(get.value_bytes, 2048u);
-  EXPECT_EQ(w.coord->stats().read_repairs, 1u);
+  EXPECT_EQ(w.coord.stats().read_repairs, 1u);
   // The asynchronous repair write brought the stale replica current.
-  EXPECT_EQ(w.replicas[2]->version_of(3), newest);
-  EXPECT_EQ(w.replicas[2]->value_size(3), 2048u);
+  EXPECT_EQ(w.replicas.replica(2).version_of(3), newest);
+  EXPECT_EQ(w.replicas.replica(2).value_size(3), 2048u);
 }
 
 TEST(ReplicatedKv, StaleWriteIsRejectedByMonotoneApply) {
   World w({});
   const kv::Version stored{1'000'000'000, 9};  // far newer than sim time
-  for (auto& r : w.replicas) r->preload(4, 8192, stored);
+  for (int i = 0; i < 3; ++i) w.replicas.replica(i).preload(4, 8192, stored);
   kv::OpResult put{};
   [](World& ww, kv::OpResult* p) -> sim::Task {
-    *p = co_await ww.coord->put(4, 16);
+    *p = co_await ww.coord.put(4, 16);
   }(w, &put);
   w.sim.run();
   // The op completes (acks arrived) but no replica rolled back.
   EXPECT_EQ(put.status, kv::OpStatus::kCompleted);
-  for (const auto& r : w.replicas) {
-    EXPECT_EQ(r->version_of(4), stored);
-    EXPECT_EQ(r->value_size(4), 8192u);
-    EXPECT_EQ(r->stats().writes_stale, 1u);
-    EXPECT_EQ(r->stats().writes_applied, 0u);
+  for (int i = 0; i < 3; ++i) {
+    const kv::ReplicaServer& r = w.replicas.replica(i);
+    EXPECT_EQ(r.version_of(4), stored);
+    EXPECT_EQ(r.value_size(4), 8192u);
+    EXPECT_EQ(r.stats().writes_stale, 1u);
+    EXPECT_EQ(r.stats().writes_applied, 0u);
   }
 }
 
@@ -149,10 +130,10 @@ TEST(ReplicatedKv, ConcurrentSameInstantPutsGetDistinctVersions) {
   World w({});
   kv::OpResult a{}, b{};
   [](World& ww, kv::OpResult* out) -> sim::Task {
-    *out = co_await ww.coord->put(1, 111);
+    *out = co_await ww.coord.put(1, 111);
   }(w, &a);
   [](World& ww, kv::OpResult* out) -> sim::Task {
-    *out = co_await ww.coord->put(1, 222);
+    *out = co_await ww.coord.put(1, 222);
   }(w, &b);
   w.sim.run();
   EXPECT_EQ(a.status, kv::OpStatus::kCompleted);
@@ -160,27 +141,29 @@ TEST(ReplicatedKv, ConcurrentSameInstantPutsGetDistinctVersions) {
   EXPECT_NE(a.version, b.version);
   // Replicas converge on the larger version.
   const kv::Version winner = std::max(a.version, b.version);
-  for (const auto& r : w.replicas) EXPECT_EQ(r->version_of(1), winner);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(w.replicas.replica(i).version_of(1), winner);
+  }
 }
 
 TEST(ReplicatedKv, ReplicaDownMidQuorumStillCompletes) {
   World w({});
-  w.servers[2]->set_handler(black_hole(w.sim));  // replica 2 goes dark
+  w.replicas.set_handler(2, black_hole(w.sim));  // replica 2 goes dark
   kv::OpResult put{}, get{};
   [](World& ww, kv::OpResult* p, kv::OpResult* g) -> sim::Task {
-    *p = co_await ww.coord->put(8, 512);
-    *g = co_await ww.coord->get(8);
+    *p = co_await ww.coord.put(8, 512);
+    *g = co_await ww.coord.get(8);
   }(w, &put, &get);
   w.sim.run();
   EXPECT_EQ(put.status, kv::OpStatus::kCompleted);
   EXPECT_EQ(get.status, kv::OpStatus::kCompleted);
   EXPECT_EQ(get.version, put.version);
-  EXPECT_EQ(w.coord->stats().ops_completed, 2u);
-  EXPECT_EQ(w.replicas[2]->stats().requests, 0u);
+  EXPECT_EQ(w.coord.stats().ops_completed, 2u);
+  EXPECT_EQ(w.replicas.replica(2).stats().requests, 0u);
   // The dark replica's calls stay suspended: conservation is one-sided.
-  EXPECT_LE(w.coord->stats().replica_acks + w.coord->stats().replica_fails +
-                w.coord->stats().replica_late,
-            w.coord->stats().replica_calls);
+  EXPECT_LE(w.coord.stats().replica_acks + w.coord.stats().replica_fails +
+                w.coord.stats().replica_late,
+            w.coord.stats().replica_calls);
 }
 
 TEST(ReplicatedKv, AllReplicasUnreachableResolvesCleanlyNotHang) {
@@ -188,17 +171,17 @@ TEST(ReplicatedKv, AllReplicasUnreachableResolvesCleanlyNotHang) {
   qc.op_timeout = 5 * sim::kMillisecond;
   qc.max_retries = 2;
   World w(qc);
-  for (auto& s : w.servers) s->set_handler(black_hole(w.sim));
+  for (int i = 0; i < 3; ++i) w.replicas.set_handler(i, black_hole(w.sim));
   kv::OpResult get{};
   [](World& ww, kv::OpResult* g) -> sim::Task {
-    *g = co_await ww.coord->get(1);
+    *g = co_await ww.coord.get(1);
   }(w, &get);
   w.sim.run();  // must drain — a hang would spin this forever
   EXPECT_EQ(get.status, kv::OpStatus::kTimedOut);
   EXPECT_EQ(get.attempts, 3);
-  EXPECT_EQ(w.coord->stats().ops_issued, 1u);
-  EXPECT_EQ(w.coord->stats().ops_timed_out, 1u);
-  EXPECT_EQ(w.coord->stats().retries, 2u);
+  EXPECT_EQ(w.coord.stats().ops_issued, 1u);
+  EXPECT_EQ(w.coord.stats().ops_timed_out, 1u);
+  EXPECT_EQ(w.coord.stats().retries, 2u);
   // Ladder: 5 + 10 + 20 ms of attempt deadlines.
   EXPECT_GE(w.sim.now(), 35 * sim::kMillisecond);
 }

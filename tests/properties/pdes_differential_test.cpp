@@ -14,12 +14,13 @@
 #include <string>
 
 #include "apps/nas.hpp"
+#include "core/kv_replicas.hpp"
 #include "core/testbed.hpp"
-#include "ib/hca.hpp"
 #include "ib/perftest.hpp"
-#include "kv/kv.hpp"
+#include "kv/loadgen.hpp"
+#include "kv/replicated.hpp"
+#include "kv/slo.hpp"
 #include "mpi/mpi.hpp"
-#include "rpc/rpc.hpp"
 #include "sim/metrics.hpp"
 
 namespace ibwan {
@@ -82,23 +83,24 @@ Outcome ext_kv_small() {
   core::Testbed tb(core::TestbedOptions{.wan_delay = 1'000'000,
                                         .metrics = true,
                                         .par_sites = 2});
-  ib::Hca server_hca(tb.fabric().node(tb.node_a()), {});
-  ib::Hca client_hca(tb.fabric().node(tb.node_b()), {});
-  rpc::RdmaRpcServer rpc_server(server_hca);
-  rpc::RdmaRpcClient rpc_client(client_hca, rpc_server);
-  kv::KvServer server(tb.sim_a());
-  rpc_server.set_handler(server.handler());
-  for (std::uint64_t k = 0; k < 64; ++k) server.preload(k, 4096);
-  kv::KvClient client(rpc_client);
+  const net::NodeId client = tb.node_b();
+  core::KvReplicas replicas(tb.fabric(), client, {tb.node_a()},
+                            core::KvReplicas::Transport::kRc);
+  replicas.preload(64, 4096);
+  kv::ReplicatedKv coord(
+      tb.sim_for(client), client, replicas.channels(),
+      {.read_quorum = 1, .write_quorum = 1, .op_timeout = 10 * sim::kSecond});
+  kv::LoadGen gen(tb.sim_for(client), coord,
+                  {.concurrency = 4,
+                   .total_ops = 200,
+                   .get_fraction = 0.9,
+                   .key_space = 64,
+                   .zipf_s = 0,
+                   .value_bytes = 4096});
+  gen.start();
+  tb.run();
   Outcome o;
-  o.result = kv::run_kv_workload(tb.sim_for(tb.node_b()), client,
-                                 {.clients = 4,
-                                  .ops_per_client = 50,
-                                  .get_fraction = 0.9,
-                                  .value_bytes = 4096,
-                                  .key_space = 64},
-                                 &tb.engine())
-                 .kops_per_sec;
+  o.result = kv::make_slo_report(gen.stats()).goodput_kops;
   o.events = tb.engine().events_executed();
   o.end = tb.now();
   o.sites = tb.engine().sites();

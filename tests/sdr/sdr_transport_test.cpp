@@ -338,11 +338,7 @@ TEST(SdrTransport, DeterministicUnderChaos) {
 }
 
 RunResult testbed_run(int par_sites) {
-  net::FaultPlanConfig plan;
-  plan.ge.p_good_to_bad = 0.002;
-  plan.ge.p_bad_to_good = 0.1;
-  plan.ge.loss_good = 0.0001;
-  plan.ge.loss_bad = 0.2;
+  const net::FaultPlanConfig plan = net::bursty_loss_plan();
   core::Testbed tb(core::TestbedOptions{.nodes_a = 1,
                                         .nodes_b = 1,
                                         .wan_delay = 1 * sim::kMillisecond,

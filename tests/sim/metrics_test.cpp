@@ -112,6 +112,13 @@ TEST(Metrics, MergeSumsCountersMaxesGaugesAddsBins) {
   EXPECT_DOUBLE_EQ(snap.histograms[0].mean, 200.0);
   EXPECT_DOUBLE_EQ(snap.histograms[0].min, 100.0);
   EXPECT_DOUBLE_EQ(snap.histograms[0].max, 300.0);
+  // Merged quantiles read the summed bins, as if one histogram had
+  // seen both samples.
+  LogHistogram both;
+  both.add(100);
+  both.add(300);
+  EXPECT_EQ(snap.histograms[0].p50, both.quantile(0.50));
+  EXPECT_EQ(snap.histograms[0].p99, both.quantile(0.99));
 }
 
 TEST(Metrics, KindOrUnitNamesMatchTheDocumentedSchema) {

@@ -15,10 +15,12 @@
 #include <set>
 #include <string>
 
+#include "core/kv_replicas.hpp"
 #include "core/testbed.hpp"
 #include "ib/cq.hpp"
 #include "ib/hca.hpp"
 #include "ipoib/ipoib.hpp"
+#include "kv/replicated.hpp"
 #include "mpi/mpi.hpp"
 #include "nfs/nfs.hpp"
 #include "rpc/rpc.hpp"
@@ -29,9 +31,10 @@
 using namespace ibwan;
 
 int main() {
-  // Two hosts per cluster: the first pair carries an MPI job (HCA, RC
-  // QPs, MPI layer), the second pair the socket/RPC stacks.
-  core::Testbed tb(2, 0);
+  // Three hosts per cluster: the first pair carries an MPI job (HCA, RC
+  // QPs, MPI layer), the second pair the socket/RPC stacks, the third a
+  // replicated KV client and replica.
+  core::Testbed tb(3, 0);
   sim::Simulator& s = tb.sim();
 
   // MPI over IB registers ib.hca, ib.rc and mpi on its two ranks.
@@ -54,6 +57,13 @@ int main() {
 
   // The software-defined reliability transport (sdr layer).
   sdr::SdrEndpoint sdr_ep(hca_a, {});
+
+  // A one-replica KV set over RPC/SDR (rpc.sdr, kv.replica) and its
+  // quorum coordinator (kv.client).
+  core::KvReplicas kv_set(tb.fabric(), tb.node_a(2), {tb.node_b(2)},
+                          core::KvReplicas::Transport::kSdr);
+  kv::ReplicatedKv kv_client(s, tb.node_a(2), kv_set.channels(),
+                             {.read_quorum = 1, .write_quorum = 1});
 
   // Strip the instance prefix: "<instance>/<layer>/<metric>" lines
   // collapse to one row per layer-level metric.
