@@ -58,6 +58,9 @@ inline bool g_selfcheck = false;  // NOLINT: bench-process singleton
 /// process-wide, and every Testbed built afterwards attaches it to its
 /// WAN links. The plan is set once before any sweep worker starts and
 /// is read-only thereafter, so threaded sweeps stay deterministic.
+///
+/// Any other argument, or one of these flags without its value, exits
+/// 2 with a message before anything runs.
 inline void init(int argc, char** argv) {
   // IBWAN_SEED=N re-runs the whole bench under a different master seed
   // (default 42, the seed the committed CSVs were generated with).
@@ -76,23 +79,35 @@ inline void init(int argc, char** argv) {
   }
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
-    std::string path;
-    std::string faults_path;
+    // Reads the value of `--name <v>` or `--name=<v>` into `out`. A
+    // flag without a value is a usage error: running on without it
+    // would, for a trailing --faults, silently measure a fault-free run.
+    const auto flag = [&](std::string_view name, std::string* out) {
+      if (arg == name && i + 1 < argc) {
+        *out = argv[++i];
+      } else if (arg.rfind(name, 0) == 0 && arg.size() > name.size() &&
+                 arg[name.size()] == '=') {
+        *out = std::string(arg.substr(name.size() + 1));
+      } else if (arg != name) {
+        return false;
+      }
+      if (out->empty()) {
+        std::fprintf(stderr, "%.*s needs a value\n",
+                     static_cast<int>(name.size()), name.data());
+        std::exit(2);
+      }
+      return true;
+    };
+    std::string value;
     // --par-sites N requests site-parallel execution (one logical
     // process per topology site, DESIGN.md §13). The knob is a pure
     // wall-clock optimization: every CSV and metrics byte is identical
     // to the sequential run.
-    std::string par_sites_arg;
-    if (arg == "--par-sites" && i + 1 < argc) {
-      par_sites_arg = argv[++i];
-    } else if (arg.rfind("--par-sites=", 0) == 0) {
-      par_sites_arg = std::string(arg.substr(12));
-    }
-    if (!par_sites_arg.empty()) {
-      const int n = std::atoi(par_sites_arg.c_str());
+    if (flag("--par-sites", &value)) {
+      const int n = std::atoi(value.c_str());
       if (n < 1) {
         std::fprintf(stderr, "bad --par-sites '%s': want >= 1\n",
-                     par_sites_arg.c_str());
+                     value.c_str());
         std::exit(2);
       }
       core::set_par_sites(n);
@@ -107,30 +122,26 @@ inline void init(int argc, char** argv) {
       std::printf("  [selfcheck: on]\n");
       continue;
     }
-    if (arg == "--metrics" && i + 1 < argc) {
-      path = argv[++i];
-    } else if (arg.rfind("--metrics=", 0) == 0) {
-      path = std::string(arg.substr(10));
-    } else if (arg == "--faults" && i + 1 < argc) {
-      faults_path = argv[++i];
-    } else if (arg.rfind("--faults=", 0) == 0) {
-      faults_path = std::string(arg.substr(9));
-    }
-    if (!faults_path.empty()) {
+    if (flag("--faults", &value)) {
       net::FaultPlanConfig plan;
       std::string err;
-      if (!net::load_fault_plan(faults_path, &plan, &err)) {
-        std::fprintf(stderr, "bad fault plan %s: %s\n", faults_path.c_str(),
+      if (!net::load_fault_plan(value, &plan, &err)) {
+        std::fprintf(stderr, "bad fault plan %s: %s\n", value.c_str(),
                      err.c_str());
         std::exit(2);
       }
       net::set_global_fault_plan(plan);
-      std::printf("  [faults: %s]\n", faults_path.c_str());
+      std::printf("  [faults: %s]\n", value.c_str());
       continue;
     }
-    // (fallthrough: unrecognized args are ignored, as before)
-    if (path.empty()) continue;
-    detail::g_metrics_path = path;
+    if (!flag("--metrics", &value)) {
+      std::fprintf(stderr,
+                   "unknown argument '%s' (accepted: --metrics <out.json>, "
+                   "--faults <plan.json>, --par-sites <n>, --selfcheck)\n",
+                   argv[i]);
+      std::exit(2);
+    }
+    detail::g_metrics_path = value;
     sim::MetricsAggregator::global().activate();
     std::atexit([] {
       const sim::MetricsSnapshot snap =

@@ -10,12 +10,11 @@ namespace ibwan::ib {
 Hca::Hca(net::Node& node, HcaConfig config)
     : node_(node), rx_lane_(node.sim().make_lane()), config_(config) {
   node_.set_receiver([this](net::Packet&& p) { on_node_packet(std::move(p)); });
-  auto& m = sim().metrics();
   const std::string scope = "node" + std::to_string(lid()) + "/ib.hca";
-  obs_pkts_tx_ = &m.counter(scope, "pkts_tx", sim::MetricUnit::kPackets);
-  obs_pkts_rx_ = &m.counter(scope, "pkts_rx", sim::MetricUnit::kPackets);
-  obs_pkts_unroutable_ =
-      &m.counter(scope, "pkts_unroutable", sim::MetricUnit::kPackets);
+  using enum sim::MetricUnit;
+  exports_.counter(scope, "pkts_tx", kPackets, &stats_.pkts_tx);
+  exports_.counter(scope, "pkts_rx", kPackets, &stats_.pkts_rx);
+  exports_.counter(scope, "pkts_unroutable", kPackets, &stats_.pkts_unroutable);
 }
 
 RcQp& Hca::create_rc_qp(Cq& send_cq, Cq& recv_cq) {
@@ -69,7 +68,6 @@ void Hca::tx_drain() {
   sim::Duration cost = config_.pkt_overhead;
   if (item->first_of_msg && !item->control) cost += config_.wqe_overhead;
   ++stats_.pkts_tx;
-  obs_pkts_tx_->add();
   const std::uint64_t id = next_pkt_id_++;
   sim().schedule(cost, [this, item, id] {
     net::Packet p;
@@ -90,7 +88,6 @@ void Hca::on_node_packet(net::Packet&& p) {
       std::max(s.now(), rx_busy_) + config_.rx_pkt_overhead;
   rx_busy_ = start;
   ++stats_.pkts_rx;
-  obs_pkts_rx_->add();
   auto payload =
       std::static_pointer_cast<const IbPacket>(std::move(p.payload));
   const Lid src = p.src;
@@ -98,7 +95,6 @@ void Hca::on_node_packet(net::Packet&& p) {
     auto it = qp_index_.find(payload->dst_qpn);
     if (it == qp_index_.end()) {
       ++stats_.pkts_unroutable;
-      obs_pkts_unroutable_->add();
       IBWAN_WARN(sim().now(), "hca", "lid=%u: packet for unknown qpn=%u",
                  lid(), payload->dst_qpn);
       return;

@@ -90,9 +90,7 @@ class Hca {
   std::uint64_t next_pkt_id_ = 1;
   Stats stats_;
   // Registered metrics (docs/METRICS.md §ib.hca); scope "node<lid>/ib.hca".
-  sim::Counter* obs_pkts_tx_ = nullptr;
-  sim::Counter* obs_pkts_rx_ = nullptr;
-  sim::Counter* obs_pkts_unroutable_ = nullptr;
+  sim::CounterExports exports_{node_.sim().metrics()};
 };
 
 }  // namespace ibwan::ib

@@ -83,6 +83,10 @@ class RcQp : public QpBase {
     /// send_completions <= msgs_sent (internal read responses and
     /// error-state flushes account for the difference).
     std::uint64_t send_completions = 0;
+    /// Times the SQ blocked on a full in-flight window, and the
+    /// simulated time it stayed blocked (the fig5 WAN bottleneck).
+    std::uint64_t window_stalls = 0;
+    std::uint64_t window_stall_ns = 0;
   };
 
   RcQp(Hca& hca, Qpn qpn, Cq& send_cq, Cq& recv_cq);
@@ -204,22 +208,9 @@ class RcQp : public QpBase {
   Stats stats_;
 
   // Registered metrics (docs/METRICS.md §ib.rc); scope "node<lid>/ib.rc".
-  struct Obs {
-    sim::Counter* msgs_sent;
-    sim::Counter* bytes_sent;
-    sim::Counter* pkts_retransmitted;
-    sim::Counter* acks_sent;
-    sim::Counter* naks_sent;
-    sim::Counter* rto_fires;
-    sim::Counter* retries_exhausted;
-    sim::Counter* flushed_wqes;
-    sim::Counter* send_completions;
-    sim::Counter* window_stalls;
-    sim::Counter* window_stall_ns;
-    sim::Gauge* outstanding_wqes;
-    sim::Histogram* ack_ns;
-  };
-  Obs obs_;
+  sim::CounterExports exports_;
+  sim::Gauge* obs_outstanding_wqes_;
+  sim::Histogram* obs_ack_ns_;
   char trace_tag_[12];  // "rc-qp<N>"
   // Send-window stall tracking: stalled whenever the SQ is non-empty but
   // the bounded in-flight window is full (the fig5 WAN bottleneck).
@@ -251,10 +242,7 @@ class UdQp : public QpBase {
   std::deque<RecvWr> rq_;
   Stats stats_;
   // Registered metrics (docs/METRICS.md §ib.ud); scope "node<lid>/ib.ud".
-  sim::Counter* obs_sent_ = nullptr;
-  sim::Counter* obs_received_ = nullptr;
-  sim::Counter* obs_dropped_ = nullptr;
-  sim::Counter* obs_bytes_sent_ = nullptr;
+  sim::CounterExports exports_;
 };
 
 }  // namespace ibwan::ib

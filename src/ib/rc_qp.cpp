@@ -32,30 +32,27 @@ void Srq::post_recv(const RecvWr& wr) {
 }
 
 RcQp::RcQp(Hca& hca, Qpn qpn, Cq& send_cq, Cq& recv_cq)
-    : QpBase(hca, qpn, send_cq, recv_cq) {
+    : QpBase(hca, qpn, send_cq, recv_cq), exports_(hca.sim().metrics()) {
   auto& m = hca_.sim().metrics();
   const std::string scope = "node" + std::to_string(hca_.lid()) + "/ib.rc";
-  using sim::MetricUnit;
-  obs_.msgs_sent = &m.counter(scope, "msgs_sent", MetricUnit::kMessages);
-  obs_.bytes_sent = &m.counter(scope, "bytes_sent", MetricUnit::kBytes);
-  obs_.pkts_retransmitted =
-      &m.counter(scope, "pkts_retransmitted", MetricUnit::kPackets);
-  obs_.acks_sent = &m.counter(scope, "acks_sent", MetricUnit::kPackets);
-  obs_.naks_sent = &m.counter(scope, "naks_sent", MetricUnit::kPackets);
-  obs_.rto_fires = &m.counter(scope, "rto_fires", MetricUnit::kCount);
-  obs_.retries_exhausted =
-      &m.counter(scope, "retries_exhausted", MetricUnit::kCount);
-  obs_.flushed_wqes =
-      &m.counter(scope, "flushed_wqes", MetricUnit::kMessages);
-  obs_.send_completions =
-      &m.counter(scope, "send_completions", MetricUnit::kMessages);
-  obs_.window_stalls =
-      &m.counter(scope, "window_stalls", MetricUnit::kCount);
-  obs_.window_stall_ns =
-      &m.counter(scope, "window_stall_ns", MetricUnit::kNanoseconds);
-  obs_.outstanding_wqes =
-      &m.gauge(scope, "outstanding_wqes", MetricUnit::kMessages);
-  obs_.ack_ns = &m.histogram(scope, "ack_ns", MetricUnit::kNanoseconds);
+  using enum sim::MetricUnit;
+  exports_.counter(scope, "msgs_sent", kMessages, &stats_.msgs_sent);
+  exports_.counter(scope, "bytes_sent", kBytes, &stats_.bytes_sent);
+  exports_.counter(scope, "pkts_retransmitted", kPackets,
+                   &stats_.pkts_retransmitted);
+  exports_.counter(scope, "acks_sent", kPackets, &stats_.acks_sent);
+  exports_.counter(scope, "naks_sent", kPackets, &stats_.naks_sent);
+  exports_.counter(scope, "rto_fires", kCount, &stats_.rto_fires);
+  exports_.counter(scope, "retries_exhausted", kCount,
+                   &stats_.retries_exhausted);
+  exports_.counter(scope, "flushed_wqes", kMessages, &stats_.flushed_wqes);
+  exports_.counter(scope, "send_completions", kMessages,
+                   &stats_.send_completions);
+  exports_.counter(scope, "window_stalls", kCount, &stats_.window_stalls);
+  exports_.counter(scope, "window_stall_ns", kNanoseconds,
+                   &stats_.window_stall_ns);
+  obs_outstanding_wqes_ = &m.gauge(scope, "outstanding_wqes", kMessages);
+  obs_ack_ns_ = &m.histogram(scope, "ack_ns", kNanoseconds);
   std::snprintf(trace_tag_, sizeof(trace_tag_), "rc-qp%u", qpn_);
 }
 
@@ -112,7 +109,7 @@ void RcQp::try_transmit() {
       // The window just reopened; account the time the SQ sat blocked.
       win_stalled_ = false;
       const sim::Duration stalled = hca_.sim().now() - win_stall_since_;
-      obs_.window_stall_ns->add(stalled);
+      stats_.window_stall_ns += stalled;
       hca_.sim().recorder().record(hca_.sim().now(),
                                    sim::TraceKind::kWindowResume, trace_tag_,
                                    stalled);
@@ -125,12 +122,12 @@ void RcQp::try_transmit() {
       static_cast<int>(inflight_.size()) >= window) {
     win_stalled_ = true;
     win_stall_since_ = hca_.sim().now();
-    obs_.window_stalls->add();
+    ++stats_.window_stalls;
     hca_.sim().recorder().record(hca_.sim().now(),
                                  sim::TraceKind::kWindowStall, trace_tag_,
                                  sq_.size(), inflight_.size());
   }
-  obs_.outstanding_wqes->set(static_cast<std::int64_t>(inflight_.size()));
+  obs_outstanding_wqes_->set(static_cast<std::int64_t>(inflight_.size()));
 }
 
 void RcQp::start_message(const SendWr& wr, bool internal,
@@ -151,8 +148,6 @@ void RcQp::start_message(const SendWr& wr, bool internal,
   inflight_.push_back(m);
   ++stats_.msgs_sent;
   stats_.bytes_sent += wr.length;
-  obs_.msgs_sent->add();
-  obs_.bytes_sent->add(wr.length);
   emit_packets(m, m.start_psn, read_wr_id);
   arm_rto();
 }
@@ -201,7 +196,7 @@ void RcQp::handle_ack(std::uint64_t ack_psn) {
     inflight_.pop_front();
     completed_any = true;
     ++completed_msgs;
-    obs_.ack_ns->observe(hca_.sim().now() - m.sent_at);
+    obs_ack_ns_->observe(hca_.sim().now() - m.sent_at);
     if (m.internal) {
       // A fully-acked read response; allow future requests for this id.
       active_read_resps_.erase(m.wr.wr_id);
@@ -213,7 +208,6 @@ void RcQp::handle_ack(std::uint64_t ack_psn) {
     }
     if (!m.internal) {
       ++stats_.send_completions;
-      obs_.send_completions->add();
       send_cq_->push_after(hca_.config().cqe_latency,
                            Cqe{.type = CqeType::kSendComplete,
                                .wr_id = m.wr.wr_id,
@@ -237,7 +231,6 @@ void RcQp::retransmit_from(std::uint64_t psn) {
     if (m.end_psn < psn) continue;
     const std::uint64_t from = std::max(psn, m.start_psn);
     stats_.pkts_retransmitted += m.end_psn - from + 1;
-    obs_.pkts_retransmitted->add(m.end_psn - from + 1);
     hca_.sim().recorder().record(hca_.sim().now(), sim::TraceKind::kRetransmit,
                                  trace_tag_, from, next_psn_);
     // Read/atomic traffic must re-carry its correlation id.
@@ -255,7 +248,6 @@ void RcQp::arm_rto() {
     rto_armed_ = false;
     if (inflight_.empty()) return;
     ++stats_.rto_fires;
-    obs_.rto_fires->add();
     hca_.sim().recorder().record(hca_.sim().now(), sim::TraceKind::kRtoFire,
                                  trace_tag_, snd_una_);
     if (++rto_retries_ > hca_.config().rc_retry_count) {
@@ -277,7 +269,6 @@ void RcQp::disarm_rto() {
 
 void RcQp::flush_wqe(CqeType type, const SendWr& wr) {
   ++stats_.flushed_wqes;
-  obs_.flushed_wqes->add();
   send_cq_->push_after(hca_.config().cqe_latency, Cqe{.type = type,
                                                       .wr_id = wr.wr_id,
                                                       .qpn = qpn_,
@@ -289,7 +280,6 @@ void RcQp::enter_error() {
   if (error_) return;
   error_ = true;
   ++stats_.retries_exhausted;
-  obs_.retries_exhausted->add();
   const std::uint64_t outstanding = inflight_.size() + sq_.size() +
                                     pending_reads_.size() +
                                     read_queue_.size() +
@@ -338,9 +328,9 @@ void RcQp::enter_error() {
   pending_atomics_.clear();
   if (win_stalled_) {
     win_stalled_ = false;
-    obs_.window_stall_ns->add(hca_.sim().now() - win_stall_since_);
+    stats_.window_stall_ns += hca_.sim().now() - win_stall_since_;
   }
-  obs_.outstanding_wqes->set(0);
+  obs_outstanding_wqes_->set(0);
 }
 
 // ---------------------------------------------------------------------------
@@ -437,7 +427,6 @@ void RcQp::handle_packet(const IbPacket& pkt, Lid /*src_lid*/) {
     if (!nak_outstanding_) {
       nak_outstanding_ = true;
       ++stats_.naks_sent;
-      obs_.naks_sent->add();
       hca_.sim().recorder().record(hca_.sim().now(), sim::TraceKind::kNakSend,
                                    trace_tag_, expected_psn_, pkt.psn);
       send_ack(IbPacketType::kNak);
@@ -484,7 +473,6 @@ void RcQp::send_ack(IbPacketType type) {
   pkt->src_qpn = qpn_;
   pkt->ack_psn = expected_psn_;
   ++stats_.acks_sent;
-  obs_.acks_sent->add();
   if (sim::FlightRecorder& fr = hca_.sim().recorder(); fr.armed())
     fr.record(hca_.sim().now(), sim::TraceKind::kAckSend, trace_tag_,
               expected_psn_);

@@ -9,16 +9,15 @@
 namespace ibwan::ib {
 
 UdQp::UdQp(Hca& hca, Qpn qpn, Cq& send_cq, Cq& recv_cq)
-    : QpBase(hca, qpn, send_cq, recv_cq) {
-  auto& m = hca_.sim().metrics();
+    : QpBase(hca, qpn, send_cq, recv_cq), exports_(hca.sim().metrics()) {
   const std::string scope = "node" + std::to_string(hca_.lid()) + "/ib.ud";
-  using sim::MetricUnit;
-  obs_sent_ = &m.counter(scope, "datagrams_sent", MetricUnit::kPackets);
-  obs_received_ =
-      &m.counter(scope, "datagrams_received", MetricUnit::kPackets);
-  obs_dropped_ =
-      &m.counter(scope, "drops_no_recv", MetricUnit::kPackets);
-  obs_bytes_sent_ = &m.counter(scope, "bytes_sent", MetricUnit::kBytes);
+  using enum sim::MetricUnit;
+  exports_.counter(scope, "datagrams_sent", kPackets, &stats_.datagrams_sent);
+  exports_.counter(scope, "datagrams_received", kPackets,
+                   &stats_.datagrams_received);
+  exports_.counter(scope, "drops_no_recv", kPackets,
+                   &stats_.datagrams_dropped_no_recv);
+  exports_.counter(scope, "bytes_sent", kBytes, &stats_.bytes_sent);
 }
 
 void UdQp::post_send(const SendWr& wr, UdDest dest) {
@@ -36,8 +35,6 @@ void UdQp::post_send(const SendWr& wr, UdDest dest) {
   pkt->app_payload = wr.app_payload;
   ++stats_.datagrams_sent;
   stats_.bytes_sent += wr.length;
-  obs_sent_->add();
-  obs_bytes_sent_->add(wr.length);
   // UD completion semantics: the WQE is done once the datagram is on the
   // wire — no acknowledgement exists. This is what makes Figure 4's UD
   // bandwidth independent of WAN delay.
@@ -62,7 +59,6 @@ void UdQp::handle_packet(const IbPacket& pkt, Lid src_lid) {
   if (rq_.empty()) {
     // No receive posted: the HCA silently drops the datagram.
     ++stats_.datagrams_dropped_no_recv;
-    obs_dropped_->add();
     IBWAN_DEBUG(hca_.sim().now(), "ud-qp", "qpn=%u drop (no recv posted)",
                 qpn_);
     return;
@@ -70,7 +66,6 @@ void UdQp::handle_packet(const IbPacket& pkt, Lid src_lid) {
   const RecvWr r = rq_.front();
   rq_.pop_front();
   ++stats_.datagrams_received;
-  obs_received_->add();
   const HcaConfig& cfg = hca_.config();
   recv_cq_->push_after(cfg.recv_match_overhead + cfg.cqe_latency,
                        Cqe{.type = CqeType::kRecvComplete,

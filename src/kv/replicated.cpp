@@ -48,16 +48,14 @@ std::string validate(const QuorumConfig& config, int replicas) {
 ReplicaServer::ReplicaServer(sim::Simulator& sim, net::NodeId lid,
                              ReplicaConfig config)
     : sim_(sim), config_(config) {
-  auto& m = sim_.metrics();
   const std::string scope = "node" + std::to_string(lid) + "/kv.replica";
-  using sim::MetricUnit;
-  obs_.requests = &m.counter(scope, "requests", MetricUnit::kMessages);
-  obs_.replies = &m.counter(scope, "replies", MetricUnit::kMessages);
-  obs_.reads_served = &m.counter(scope, "reads_served", MetricUnit::kCount);
-  obs_.read_misses = &m.counter(scope, "read_misses", MetricUnit::kCount);
-  obs_.writes_applied =
-      &m.counter(scope, "writes_applied", MetricUnit::kCount);
-  obs_.writes_stale = &m.counter(scope, "writes_stale", MetricUnit::kCount);
+  using enum sim::MetricUnit;
+  exports_.counter(scope, "requests", kMessages, &stats_.requests);
+  exports_.counter(scope, "replies", kMessages, &stats_.replies);
+  exports_.counter(scope, "reads_served", kCount, &stats_.reads_served);
+  exports_.counter(scope, "read_misses", kCount, &stats_.read_misses);
+  exports_.counter(scope, "writes_applied", kCount, &stats_.writes_applied);
+  exports_.counter(scope, "writes_stale", kCount, &stats_.writes_stale);
 }
 
 rpc::Handler ReplicaServer::handler() {
@@ -68,18 +66,15 @@ sim::Coro<rpc::ReplyInfo> ReplicaServer::dispatch(
     const rpc::CallArgs& call) {
   const auto& args = call.args_as<ReplicaArgs>();
   ++stats_.requests;
-  obs_.requests->add();
   cpu_busy_ = std::max(sim_.now(), cpu_busy_) + config_.per_op_cpu;
   co_await sim::SleepAwaiter(sim_, cpu_busy_ - sim_.now());
   auto rep = std::make_shared<ReplicaReply>();
   rpc::ReplyInfo out{.reply_bytes = kReplicaReplyBytes};
   if (args.op == ReplicaOp::kRead) {
     ++stats_.reads_served;
-    obs_.reads_served->add();
     auto it = store_.find(args.key);
     if (it == store_.end()) {
       ++stats_.read_misses;
-      obs_.read_misses->add();
     } else {
       rep->version = it->second.version;
       rep->value_bytes = it->second.value_bytes;
@@ -94,16 +89,13 @@ sim::Coro<rpc::ReplyInfo> ReplicaServer::dispatch(
       slot = Slot{args.version, args.value_bytes};
       rep->applied = true;
       ++stats_.writes_applied;
-      obs_.writes_applied->add();
     } else {
       ++stats_.writes_stale;
-      obs_.writes_stale->add();
     }
     rep->version = slot.version;
     rep->value_bytes = slot.value_bytes;
   }
   ++stats_.replies;
-  obs_.replies->add();
   out.body = std::move(rep);
   co_return out;
 }
@@ -150,25 +142,19 @@ ReplicatedKv::ReplicatedKv(sim::Simulator& sim, net::NodeId lid,
   }
   auto& m = sim_.metrics();
   const std::string scope = "node" + std::to_string(lid) + "/kv.client";
-  using sim::MetricUnit;
-  obs_.ops_issued = &m.counter(scope, "ops_issued", MetricUnit::kMessages);
-  obs_.ops_completed =
-      &m.counter(scope, "ops_completed", MetricUnit::kMessages);
-  obs_.ops_timed_out =
-      &m.counter(scope, "ops_timed_out", MetricUnit::kMessages);
-  obs_.ops_aborted = &m.counter(scope, "ops_aborted", MetricUnit::kMessages);
-  obs_.replica_calls =
-      &m.counter(scope, "replica_calls", MetricUnit::kMessages);
-  obs_.replica_acks =
-      &m.counter(scope, "replica_acks", MetricUnit::kMessages);
-  obs_.replica_fails =
-      &m.counter(scope, "replica_fails", MetricUnit::kMessages);
-  obs_.replica_late =
-      &m.counter(scope, "replica_late", MetricUnit::kMessages);
-  obs_.retries = &m.counter(scope, "retries", MetricUnit::kCount);
-  obs_.read_repairs = &m.counter(scope, "read_repairs", MetricUnit::kCount);
-  obs_.inflight_ops = &m.gauge(scope, "inflight_ops", MetricUnit::kCount);
-  obs_.op_ns = &m.histogram(scope, "op_ns", MetricUnit::kNanoseconds);
+  using enum sim::MetricUnit;
+  exports_.counter(scope, "ops_issued", kMessages, &stats_.ops_issued);
+  exports_.counter(scope, "ops_completed", kMessages, &stats_.ops_completed);
+  exports_.counter(scope, "ops_timed_out", kMessages, &stats_.ops_timed_out);
+  exports_.counter(scope, "ops_aborted", kMessages, &stats_.ops_aborted);
+  exports_.counter(scope, "replica_calls", kMessages, &stats_.replica_calls);
+  exports_.counter(scope, "replica_acks", kMessages, &stats_.replica_acks);
+  exports_.counter(scope, "replica_fails", kMessages, &stats_.replica_fails);
+  exports_.counter(scope, "replica_late", kMessages, &stats_.replica_late);
+  exports_.counter(scope, "retries", kCount, &stats_.retries);
+  exports_.counter(scope, "read_repairs", kCount, &stats_.read_repairs);
+  obs_inflight_ops_ = &m.gauge(scope, "inflight_ops", kCount);
+  obs_op_ns_ = &m.histogram(scope, "op_ns", kNanoseconds);
 }
 
 sim::Coro<OpResult> ReplicatedKv::get(std::uint64_t key) {
@@ -193,9 +179,8 @@ sim::Coro<OpResult> ReplicatedKv::put(std::uint64_t key,
 sim::Coro<OpResult> ReplicatedKv::quorum_op(ReplicaArgs args, int need) {
   const int n = replicas();
   ++stats_.ops_issued;
-  obs_.ops_issued->add();
   ++inflight_;
-  obs_.inflight_ops->set(inflight_);
+  obs_inflight_ops_->set(inflight_);
   const sim::Time t0 = sim_.now();
   OpResult res;
   res.status = OpStatus::kTimedOut;
@@ -230,7 +215,6 @@ sim::Coro<OpResult> ReplicatedKv::quorum_op(ReplicaArgs args, int need) {
     }
     if (attempt < config_.max_retries) {
       ++stats_.retries;
-      obs_.retries->add();
       timeout = static_cast<sim::Duration>(static_cast<double>(timeout) *
                                            config_.backoff);
     }
@@ -238,20 +222,17 @@ sim::Coro<OpResult> ReplicatedKv::quorum_op(ReplicaArgs args, int need) {
   switch (res.status) {
     case OpStatus::kCompleted:
       ++stats_.ops_completed;
-      obs_.ops_completed->add();
       break;
     case OpStatus::kTimedOut:
       ++stats_.ops_timed_out;
-      obs_.ops_timed_out->add();
       break;
     case OpStatus::kAborted:
       ++stats_.ops_aborted;
-      obs_.ops_aborted->add();
       break;
   }
-  obs_.op_ns->observe(sim_.now() - t0);
+  obs_op_ns_->observe(sim_.now() - t0);
   --inflight_;
-  obs_.inflight_ops->set(inflight_);
+  obs_inflight_ops_->set(inflight_);
   // Read repair rides behind the completed read: push the newest
   // version to every responder that returned something older. Detached
   // and asynchronous — the op's latency does not pay for it.
@@ -260,7 +241,6 @@ sim::Coro<OpResult> ReplicatedKv::quorum_op(ReplicaArgs args, int need) {
     for (int i = 0; i < n; ++i) {
       if (!at->replied[i] || !(at->seen[i] < at->best)) continue;
       ++stats_.read_repairs;
-      obs_.read_repairs->add();
       repair_write(i, ReplicaArgs{.op = ReplicaOp::kWrite,
                                   .key = args.key,
                                   .version = at->best,
@@ -273,7 +253,6 @@ sim::Coro<OpResult> ReplicatedKv::quorum_op(ReplicaArgs args, int need) {
 sim::Task ReplicatedKv::replica_call(std::shared_ptr<Attempt> at, int idx,
                                      ReplicaArgs args, int need) {
   ++stats_.replica_calls;
-  obs_.replica_calls->add();
   auto body = std::make_shared<ReplicaArgs>(args);
   rpc::CallArgs call{
       .proc = static_cast<std::uint32_t>(args.op),
@@ -286,13 +265,11 @@ sim::Task ReplicatedKv::replica_call(std::shared_ptr<Attempt> at, int idx,
           std::move(call));
   if (at->abandoned) {
     ++stats_.replica_late;
-    obs_.replica_late->add();
     co_return;
   }
   if (!r.ok) {
     ++at->fails;
     ++stats_.replica_fails;
-    obs_.replica_fails->add();
     // Early abort: with this many hard failures even every remaining
     // reply cannot assemble the quorum, so waiting out the timer (and
     // the retry ladder — the transport already exhausted its own
@@ -306,7 +283,6 @@ sim::Task ReplicatedKv::replica_call(std::shared_ptr<Attempt> at, int idx,
   }
   ++at->acks;
   ++stats_.replica_acks;
-  obs_.replica_acks->add();
   const auto& rep = *static_cast<const ReplicaReply*>(r.body.get());
   at->replied[static_cast<std::size_t>(idx)] = true;
   at->seen[static_cast<std::size_t>(idx)] = rep.version;

@@ -123,15 +123,7 @@ class ReplicaServer {
   Stats stats_;
 
   // Registered metrics (docs/METRICS.md §kv); scope "node<lid>/kv.replica".
-  struct Obs {
-    sim::Counter* requests;
-    sim::Counter* replies;
-    sim::Counter* reads_served;
-    sim::Counter* read_misses;
-    sim::Counter* writes_applied;
-    sim::Counter* writes_stale;
-  };
-  Obs obs_;
+  sim::CounterExports exports_{sim_.metrics()};
 };
 
 // ---------------------------------------------------------------------------
@@ -227,21 +219,9 @@ class ReplicatedKv {
   sim::Time last_stamp_ = 0;
 
   // Registered metrics (docs/METRICS.md §kv); scope "node<lid>/kv.client".
-  struct Obs {
-    sim::Counter* ops_issued;
-    sim::Counter* ops_completed;
-    sim::Counter* ops_timed_out;
-    sim::Counter* ops_aborted;
-    sim::Counter* replica_calls;
-    sim::Counter* replica_acks;
-    sim::Counter* replica_fails;
-    sim::Counter* replica_late;
-    sim::Counter* retries;
-    sim::Counter* read_repairs;
-    sim::Gauge* inflight_ops;
-    sim::Histogram* op_ns;
-  };
-  Obs obs_;
+  sim::CounterExports exports_{sim_.metrics()};
+  sim::Gauge* obs_inflight_ops_;
+  sim::Histogram* obs_op_ns_;
 };
 
 }  // namespace ibwan::kv

@@ -72,7 +72,7 @@ sim::Coro<void> Rank::bcast_binomial(int root, std::uint64_t bytes) {
     }
   }
   const sim::Time elapsed = sim().now() - t0;
-  obs_.bcast_ns->observe(elapsed);
+  obs_bcast_ns_->observe(elapsed);
   if (sim::FlightRecorder& fr = sim().recorder(); fr.armed()) {
     fr.record(sim().now(), sim::TraceKind::kBcastDone, trace_tag_,
               static_cast<std::uint64_t>(root), bytes,
@@ -146,7 +146,7 @@ sim::Coro<void> Rank::bcast_scatter_allgather(int root, std::uint64_t bytes) {
     co_await wait_all(std::move(reqs));
   }
   const sim::Time elapsed = sim().now() - t0;
-  obs_.bcast_ns->observe(elapsed);
+  obs_bcast_ns_->observe(elapsed);
   if (sim::FlightRecorder& fr = sim().recorder(); fr.armed()) {
     fr.record(sim().now(), sim::TraceKind::kBcastDone, trace_tag_,
               static_cast<std::uint64_t>(root), bytes,
@@ -183,7 +183,7 @@ sim::Coro<void> Rank::bcast_hierarchical(int root, std::uint64_t bytes) {
   const int lp = static_cast<int>(local.size());
   if (lp <= 1) {
     const sim::Time elapsed = sim().now() - t0;
-    obs_.bcast_ns->observe(elapsed);
+    obs_bcast_ns_->observe(elapsed);
     if (sim::FlightRecorder& fr = sim().recorder(); fr.armed()) {
       fr.record(sim().now(), sim::TraceKind::kBcastDone, trace_tag_,
                 static_cast<std::uint64_t>(root), bytes,
@@ -220,7 +220,7 @@ sim::Coro<void> Rank::bcast_hierarchical(int root, std::uint64_t bytes) {
     mask >>= 1;
   }
   const sim::Time elapsed = sim().now() - t0;
-  obs_.bcast_ns->observe(elapsed);
+  obs_bcast_ns_->observe(elapsed);
   if (sim::FlightRecorder& fr = sim().recorder(); fr.armed()) {
     fr.record(sim().now(), sim::TraceKind::kBcastDone, trace_tag_,
               static_cast<std::uint64_t>(root), bytes,

@@ -70,7 +70,8 @@ Rank::Rank(Job& job, int rank, net::Node& node, const MpiConfig& cfg)
       node_(node),
       cluster_(job.fabric().cluster_of(node.id())),
       cfg_(cfg),
-      rendezvous_threshold_(cfg.rendezvous_threshold) {
+      rendezvous_threshold_(cfg.rendezvous_threshold),
+      exports_(node.sim().metrics()) {
   hca_ = std::make_unique<ib::Hca>(node_, cfg_.hca);
   scq_ = std::make_unique<ib::Cq>(node_.sim());
   rcq_ = std::make_unique<ib::Cq>(node_.sim());
@@ -79,16 +80,14 @@ Rank::Rank(Job& job, int rank, net::Node& node, const MpiConfig& cfg)
 
   auto& m = sim().metrics();
   const std::string scope = "node" + std::to_string(node_.id()) + "/mpi";
-  using sim::MetricUnit;
-  obs_.eager_sent = &m.counter(scope, "eager_sent", MetricUnit::kMessages);
-  obs_.rndv_sent = &m.counter(scope, "rndv_sent", MetricUnit::kMessages);
-  obs_.msgs_received =
-      &m.counter(scope, "msgs_received", MetricUnit::kMessages);
-  obs_.unexpected = &m.counter(scope, "unexpected", MetricUnit::kMessages);
-  obs_.bytes_sent = &m.counter(scope, "bytes_sent", MetricUnit::kBytes);
-  obs_.coalesce_flushes =
-      &m.counter(scope, "coalesce_flushes", MetricUnit::kCount);
-  obs_.bcast_ns = &m.histogram(scope, "bcast_ns", MetricUnit::kNanoseconds);
+  using enum sim::MetricUnit;
+  exports_.counter(scope, "eager_sent", kMessages, &stats_.eager_sent);
+  exports_.counter(scope, "rndv_sent", kMessages, &stats_.rndv_sent);
+  exports_.counter(scope, "msgs_received", kMessages, &stats_.msgs_received);
+  exports_.counter(scope, "unexpected", kMessages, &stats_.unexpected);
+  exports_.counter(scope, "bytes_sent", kBytes, &stats_.bytes_sent);
+  exports_.counter(scope, "coalesce_flushes", kCount, &stats_.coalesce_flushes);
+  obs_bcast_ns_ = &m.histogram(scope, "bcast_ns", kNanoseconds);
   std::snprintf(trace_tag_, sizeof(trace_tag_), "rank%d", rank_);
 }
 
@@ -137,8 +136,6 @@ Request Rank::isend(int dst, std::uint64_t bytes, int tag) {
 
   if (bytes < rendezvous_threshold_) {
     ++stats_.eager_sent;
-    obs_.eager_sent->add();
-    obs_.bytes_sent->add(bytes);
     sim().recorder().record(sim().now(), sim::TraceKind::kEagerSend,
                             trace_tag_, dst, bytes);
     // Eager is a *buffered* send: the request completes once the data
@@ -182,8 +179,6 @@ Request Rank::isend(int dst, std::uint64_t bytes, int tag) {
     });
   } else {
     ++stats_.rndv_sent;
-    obs_.rndv_sent->add();
-    obs_.bytes_sent->add(bytes);
     sim().recorder().record(sim().now(), sim::TraceKind::kRndvRts,
                             trace_tag_, dst, bytes);
     rndv_bytes_[id] = bytes;
@@ -206,7 +201,7 @@ void Rank::flush_coalesce(int dst) {
   if (it == coalesce_.end() || !it->second || it->second->msgs.empty()) {
     return;
   }
-  obs_.coalesce_flushes->add();
+  ++stats_.coalesce_flushes;
   CoalesceBuf& buf = *it->second;
   MsgHeader h{.kind = MsgHeader::Kind::kBundle,
               .src_rank = rank_,
@@ -257,7 +252,6 @@ bool Rank::matches(const PostedRecv& r, int src, int tag) const {
 void Rank::complete_eager_recv(std::shared_ptr<detail::RequestState> req,
                                const MsgHeader& h) {
   ++stats_.msgs_received;
-  obs_.msgs_received->add();
   const auto copy = sim::duration_ceil(static_cast<double>(h.bytes) *
                                        cfg_.copy_ns_per_byte);
   const sim::Time t = charge_cpu(cfg_.call_overhead + copy);
@@ -321,7 +315,6 @@ void Rank::handle_eager(const MsgHeader& h) {
     }
   }
   ++stats_.unexpected;
-  obs_.unexpected->add();
   unexpected_.push_back(UnexpectedMsg{h});
 }
 
@@ -335,7 +328,6 @@ void Rank::handle_rts(const MsgHeader& h) {
     }
   }
   ++stats_.unexpected;
-  obs_.unexpected->add();
   unexpected_.push_back(UnexpectedMsg{h});
 }
 
@@ -369,7 +361,6 @@ void Rank::handle_cts(const MsgHeader& h) {
 
 void Rank::handle_fin(const MsgHeader& h) {
   ++stats_.msgs_received;
-  obs_.msgs_received->add();
   sim().recorder().record(sim().now(), sim::TraceKind::kRndvFin, trace_tag_,
                           h.src_rank, h.bytes);
   auto it = active_recvs_.find(h.recv_req);

@@ -155,6 +155,7 @@ class Rank {
     std::uint64_t msgs_received = 0;
     std::uint64_t bytes_sent = 0;
     std::uint64_t unexpected = 0;
+    std::uint64_t coalesce_flushes = 0;  // bundles put on the wire
   };
   const Stats& stats() const { return stats_; }
 
@@ -219,16 +220,8 @@ class Rank {
   Stats stats_;
 
   // Registered metrics (docs/METRICS.md §mpi); scope "node<id>/mpi".
-  struct Obs {
-    sim::Counter* eager_sent;
-    sim::Counter* rndv_sent;
-    sim::Counter* msgs_received;
-    sim::Counter* unexpected;
-    sim::Counter* bytes_sent;
-    sim::Counter* coalesce_flushes;
-    sim::Histogram* bcast_ns;
-  };
-  Obs obs_;
+  sim::CounterExports exports_;
+  sim::Histogram* obs_bcast_ns_;
   char trace_tag_[12];  // "rank<N>"
 };
 

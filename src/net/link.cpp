@@ -9,7 +9,6 @@
 
 namespace ibwan::net {
 
-using sim::MetricUnit;
 using sim::TraceKind;
 
 Link::Link(sim::Simulator& sim, Config config, std::string name)
@@ -20,25 +19,27 @@ Link::Link(sim::Simulator& sim, Config config, std::string name)
   assert(config_.bytes_per_ns > 0.0);
   auto& m = sim_.metrics();
   const std::string scope = name_ + "/net.link";
-  obs_.pkts_sent = &m.counter(scope, "pkts_sent", MetricUnit::kPackets);
-  obs_.bytes_sent = &m.counter(scope, "bytes_sent", MetricUnit::kBytes);
-  obs_.pkts_delivered =
-      &m.counter(scope, "pkts_delivered", MetricUnit::kPackets);
-  obs_.bytes_delivered =
-      &m.counter(scope, "bytes_delivered", MetricUnit::kBytes);
-  obs_.drops_buffer = &m.counter(scope, "drops_buffer", MetricUnit::kPackets);
-  obs_.drops_loss = &m.counter(scope, "drops_loss", MetricUnit::kPackets);
-  obs_.drops_fault = &m.counter(scope, "drops_fault", MetricUnit::kPackets);
-  obs_.drops_link_down =
-      &m.counter(scope, "drops_link_down", MetricUnit::kPackets);
-  obs_.drops_brownout =
-      &m.counter(scope, "drops_brownout", MetricUnit::kPackets);
-  obs_.bytes_dropped = &m.counter(scope, "bytes_dropped", MetricUnit::kBytes);
-  obs_.flaps = &m.counter(scope, "flaps", MetricUnit::kCount);
-  obs_.down_ns = &m.counter(scope, "down_ns", MetricUnit::kNanoseconds);
-  obs_.busy_ns = &m.counter(scope, "busy_ns", MetricUnit::kNanoseconds);
-  obs_.queued_bytes = &m.gauge(scope, "queued_bytes", MetricUnit::kBytes);
-  obs_.jitter_ns = &m.histogram(scope, "jitter_ns", MetricUnit::kNanoseconds);
+  using enum sim::MetricUnit;
+  exports_.counter(scope, "pkts_sent", kPackets, &stats_.packets_sent);
+  exports_.counter(scope, "bytes_sent", kBytes, &stats_.bytes_sent);
+  exports_.counter(scope, "pkts_delivered", kPackets,
+                   &stats_.packets_delivered);
+  exports_.counter(scope, "bytes_delivered", kBytes, &stats_.bytes_delivered);
+  exports_.counter(scope, "drops_buffer", kPackets,
+                   &stats_.packets_dropped_buffer);
+  exports_.counter(scope, "drops_loss", kPackets, &stats_.packets_dropped_loss);
+  exports_.counter(scope, "drops_fault", kPackets,
+                   &stats_.packets_dropped_fault);
+  exports_.counter(scope, "drops_link_down", kPackets,
+                   &stats_.packets_dropped_down);
+  exports_.counter(scope, "drops_brownout", kPackets,
+                   &stats_.packets_dropped_brownout);
+  exports_.counter(scope, "bytes_dropped", kBytes, &stats_.bytes_dropped);
+  exports_.counter(scope, "flaps", kCount, &stats_.flaps);
+  exports_.counter(scope, "down_ns", kNanoseconds, &stats_.down_ns);
+  exports_.counter(scope, "busy_ns", kNanoseconds, &stats_.busy_ns);
+  obs_queued_bytes_ = &m.gauge(scope, "queued_bytes", kBytes);
+  obs_jitter_ns_ = &m.histogram(scope, "jitter_ns", kNanoseconds);
 }
 
 bool Link::send(Packet&& p) {
@@ -47,10 +48,8 @@ bool Link::send(Packet&& p) {
       buffer_override_active_ ? buffer_override_ : config_.buffer_bytes;
   if (cap != 0 && queued_bytes_ + p.wire_size > cap) {
     ++stats_.packets_dropped_buffer;
-    obs_.drops_buffer->add();
     if (buffer_override_active_) {
       ++stats_.packets_dropped_brownout;
-      obs_.drops_brownout->add();
     }
     sim_.recorder().record(sim_.now(), TraceKind::kPktDrop, name_.c_str(),
                            p.id, p.wire_size, /*c=*/1);
@@ -59,7 +58,7 @@ bool Link::send(Packet&& p) {
     return false;
   }
   queued_bytes_ += p.wire_size;
-  obs_.queued_bytes->set(static_cast<std::int64_t>(queued_bytes_));
+  obs_queued_bytes_->set(static_cast<std::int64_t>(queued_bytes_));
   (p.control ? q_control_ : q_data_).push_back(std::move(p));
   if (!busy_) start_next();
   return true;
@@ -71,7 +70,6 @@ void Link::set_down(bool down) {
   if (down) {
     ++down_epoch_;  // kills everything serializing or propagating
     ++stats_.flaps;
-    obs_.flaps->add();
     down_since_ = sim_.now();
     sim_.recorder().record(sim_.now(), TraceKind::kLinkDown, name_.c_str(),
                            queued_bytes_);
@@ -80,7 +78,6 @@ void Link::set_down(bool down) {
   } else {
     const sim::Duration outage = sim_.now() - down_since_;
     stats_.down_ns += outage;
-    obs_.down_ns->add(outage);
     sim_.recorder().record(sim_.now(), TraceKind::kLinkUp, name_.c_str(),
                            outage);
     IBWAN_WARN(sim_.now(), name_.c_str(), "link up after %llu ns",
@@ -105,8 +102,6 @@ void Link::clear_buffer_override() {
 void Link::drop_down(const Packet& p) {
   ++stats_.packets_dropped_down;
   stats_.bytes_dropped += p.wire_size;
-  obs_.drops_link_down->add();
-  obs_.bytes_dropped->add(p.wire_size);
   sim_.recorder().record(sim_.now(), TraceKind::kPktDrop, name_.c_str(), p.id,
                          p.wire_size, /*c=*/4);
 }
@@ -134,8 +129,6 @@ void Link::deliver_via_channel(const std::shared_ptr<Packet>& pkt,
                            pkt->id, pkt->wire_size);
   ++stats_.packets_delivered;
   stats_.bytes_delivered += pkt->wire_size;
-  obs_.pkts_delivered->add();
-  obs_.bytes_delivered->add(pkt->wire_size);
   // on_serialized already fired on this site; clear it here so the
   // destination's copy never touches sender-site captures.
   pkt->on_serialized = nullptr;
@@ -171,10 +164,8 @@ void Link::start_next() {
     queued_bytes_ -= pkt->wire_size;
     ++stats_.packets_sent;
     stats_.bytes_sent += pkt->wire_size;
-    obs_.pkts_sent->add();
-    obs_.bytes_sent->add(pkt->wire_size);
-    obs_.busy_ns->add(ser);
-    obs_.queued_bytes->set(static_cast<std::int64_t>(queued_bytes_));
+    stats_.busy_ns += ser;
+    obs_queued_bytes_->set(static_cast<std::int64_t>(queued_bytes_));
     if (pkt->on_serialized) pkt->on_serialized();
     if (down_ || epoch != down_epoch_) {
       // The flap hit while this packet was on the wire.
@@ -191,16 +182,12 @@ void Link::start_next() {
     if (loss_rng_ && loss_rng_->chance(config_.loss_rate)) {
       ++stats_.packets_dropped_loss;
       stats_.bytes_dropped += pkt->wire_size;
-      obs_.drops_loss->add();
-      obs_.bytes_dropped->add(pkt->wire_size);
       sim_.recorder().record(sim_.now(), TraceKind::kPktDrop, name_.c_str(),
                              pkt->id, pkt->wire_size, /*c=*/2);
       recycle_packet(pkt);
     } else if (loss_model_ && loss_model_(*pkt)) {
       ++stats_.packets_dropped_fault;
       stats_.bytes_dropped += pkt->wire_size;
-      obs_.drops_fault->add();
-      obs_.bytes_dropped->add(pkt->wire_size);
       sim_.recorder().record(sim_.now(), TraceKind::kPktDrop, name_.c_str(),
                              pkt->id, pkt->wire_size, /*c=*/3);
       recycle_packet(pkt);
@@ -208,7 +195,7 @@ void Link::start_next() {
       sim::Duration delay = config_.propagation + extra_delay_;
       if (jitter_model_) {
         const sim::Duration jitter = jitter_model_();
-        obs_.jitter_ns->observe(static_cast<std::uint64_t>(jitter));
+        obs_jitter_ns_->observe(static_cast<std::uint64_t>(jitter));
         delay += jitter;
       }
       if (channel_ != nullptr) {
@@ -228,8 +215,6 @@ void Link::start_next() {
                                    name_.c_str(), pkt->id, pkt->wire_size);
           ++stats_.packets_delivered;
           stats_.bytes_delivered += pkt->wire_size;
-          obs_.pkts_delivered->add();
-          obs_.bytes_delivered->add(pkt->wire_size);
           // The pool's pointer is the sole owner here (unlike the shared
           // channel packet above), so move rather than copy.
           Packet delivered = std::move(*pkt);

@@ -59,6 +59,7 @@ class Link {
     std::uint64_t bytes_dropped = 0;  // lint:conserved
     std::uint64_t flaps = 0;          // lint:conserved
     std::uint64_t down_ns = 0;        // lint:conserved
+    std::uint64_t busy_ns = 0;        // serialization time
   };
 
   Link(sim::Simulator& sim, Config config, std::string name = "link");
@@ -150,25 +151,6 @@ class Link {
     if (channel_ == nullptr) pkt_pool_.recycle(pkt);
   }
 
-  // Registered metrics (docs/METRICS.md §net.link); scope "<name>/net.link".
-  struct Obs {
-    sim::Counter* pkts_sent;
-    sim::Counter* bytes_sent;
-    sim::Counter* pkts_delivered;
-    sim::Counter* bytes_delivered;
-    sim::Counter* drops_buffer;
-    sim::Counter* drops_loss;
-    sim::Counter* drops_fault;
-    sim::Counter* drops_link_down;
-    sim::Counter* drops_brownout;
-    sim::Counter* bytes_dropped;
-    sim::Counter* flaps;
-    sim::Counter* down_ns;
-    sim::Counter* busy_ns;
-    sim::Gauge* queued_bytes;
-    sim::Histogram* jitter_ns;
-  };
-
   sim::Simulator& sim_;
   /// Local deliveries. Serialization ends in order, so arrival times only
   /// go backwards under jitter or a set_extra_delay cut, which the lane
@@ -176,7 +158,6 @@ class Link {
   sim::Simulator::Lane& deliver_lane_;
   Config config_;
   std::string name_;
-  Obs obs_;
   std::function<void(Packet&&)> sink_;
   std::function<bool(const Packet&)> loss_model_;
   std::function<sim::Duration()> jitter_model_;
@@ -197,6 +178,10 @@ class Link {
   std::vector<sim::Time> down_starts_;
   PacketPool pkt_pool_{256};
   Stats stats_;
+  // Registered metrics (docs/METRICS.md §net.link); scope "<name>/net.link".
+  sim::CounterExports exports_{sim_.metrics()};
+  sim::Gauge* obs_queued_bytes_;
+  sim::Histogram* obs_jitter_ns_;
 };
 
 }  // namespace ibwan::net

@@ -36,7 +36,6 @@ void Switch::receive(Packet&& p) {
   if (auto it = routes_.find(p.dst); it != routes_.end()) port = it->second;
   if (port < 0 || port >= static_cast<int>(ports_.size())) {
     ++drops_no_route_;
-    obs_drops_noroute_->add();
     if (drops_no_route_ <= kNoRouteWarnLimit) {
       IBWAN_WARN(sim_.now(), name_.c_str(), "no route for dst=%u, dropping%s",
                  p.dst,
@@ -51,7 +50,6 @@ void Switch::receive(Packet&& p) {
     return;
   }
   ++forwarded_;
-  obs_forwarded_->add();
   Link* out = ports_[port];
   auto shared = pkt_pool_.alloc(std::move(p));
   hop_lane_.schedule(hop_latency_, [this, out, shared] {

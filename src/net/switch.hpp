@@ -20,12 +20,10 @@ class Switch {
         hop_lane_(sim.make_lane()),
         name_(std::move(name)),
         hop_latency_(hop_latency) {
-    auto& m = sim_.metrics();
     const std::string scope = name_ + "/net.switch";
-    obs_forwarded_ =
-        &m.counter(scope, "pkts_forwarded", sim::MetricUnit::kPackets);
-    obs_drops_noroute_ =
-        &m.counter(scope, "drops_no_route", sim::MetricUnit::kPackets);
+    using enum sim::MetricUnit;
+    exports_.counter(scope, "pkts_forwarded", kPackets, &forwarded_);
+    exports_.counter(scope, "drops_no_route", kPackets, &drops_no_route_);
   }
 
   Switch(const Switch&) = delete;
@@ -91,8 +89,7 @@ class Switch {
   /// event scheduled at the arrival instant.
   std::vector<std::pair<int, Packet>> wan_buf_;
   bool wan_flush_pending_ = false;
-  sim::Counter* obs_forwarded_ = nullptr;
-  sim::Counter* obs_drops_noroute_ = nullptr;
+  sim::CounterExports exports_{sim_.metrics()};
 };
 
 }  // namespace ibwan::net

@@ -10,13 +10,12 @@ namespace ibwan::net {
 void Longbow::forward(Packet&& p, Link* out) {
   if (out == nullptr) {
     ++drops_no_port_;
-    obs_drops_no_port_->add();
     sim_.recorder().record(sim_.now(), sim::TraceKind::kPktDrop,
                            name_.c_str(), p.id, p.wire_size, /*c=*/5);
     IBWAN_WARN(sim_.now(), name_.c_str(), "port not connected, dropping");
     return;
   }
-  obs_forwarded_->add();
+  ++pkts_forwarded_;
   auto shared = pkt_pool_.alloc(std::move(p));
   lane_.schedule(latency_, [this, out, shared] {
     Packet fwd = std::move(*shared);

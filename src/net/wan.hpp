@@ -29,11 +29,10 @@ class Longbow {
         lane_(sim.make_lane()),
         name_(std::move(name)),
         latency_(pipeline_latency) {
-    auto& m = sim_.metrics();
-    obs_forwarded_ = &m.counter(name_ + "/net.wan", "pkts_forwarded",
-                                sim::MetricUnit::kPackets);
-    obs_drops_no_port_ = &m.counter(name_ + "/net.wan", "drops_no_port",
-                                    sim::MetricUnit::kPackets);
+    const std::string scope = name_ + "/net.wan";
+    using enum sim::MetricUnit;
+    exports_.counter(scope, "pkts_forwarded", kPackets, &pkts_forwarded_);
+    exports_.counter(scope, "drops_no_port", kPackets, &drops_no_port_);
   }
 
   Longbow(const Longbow&) = delete;
@@ -61,9 +60,11 @@ class Longbow {
   PacketPool pkt_pool_{64};
   Link* lan_tx_ = nullptr;
   Link* wan_tx_ = nullptr;
+  // Not `forwarded_`: INV001 keys conserved counters by bare name, and
+  // Switch::forwarded_ is one.
+  std::uint64_t pkts_forwarded_ = 0;
   std::uint64_t drops_no_port_ = 0;
-  sim::Counter* obs_forwarded_ = nullptr;
-  sim::Counter* obs_drops_no_port_ = nullptr;
+  sim::CounterExports exports_{sim_.metrics()};
 };
 
 /// The deployed unit: two Longbows and the long-haul fiber between them.

@@ -15,15 +15,14 @@ NfsServer::NfsServer(sim::Simulator& sim, NfsConfig config)
     : sim_(sim), config_(config) {
   auto& m = sim_.metrics();
   const std::string scope = "nfs-server/nfs";
-  using sim::MetricUnit;
-  obs_.reads = &m.counter(scope, "reads", MetricUnit::kCount);
-  obs_.writes = &m.counter(scope, "writes", MetricUnit::kCount);
-  obs_.getattrs = &m.counter(scope, "getattrs", MetricUnit::kCount);
-  obs_.bytes_read = &m.counter(scope, "bytes_read", MetricUnit::kBytes);
-  obs_.bytes_written =
-      &m.counter(scope, "bytes_written", MetricUnit::kBytes);
-  obs_.inflight_ops = &m.gauge(scope, "inflight_ops", MetricUnit::kCount);
-  obs_.op_ns = &m.histogram(scope, "op_ns", MetricUnit::kNanoseconds);
+  using enum sim::MetricUnit;
+  exports_.counter(scope, "reads", kCount, &stats_.reads);
+  exports_.counter(scope, "writes", kCount, &stats_.writes);
+  exports_.counter(scope, "getattrs", kCount, &stats_.getattrs);
+  exports_.counter(scope, "bytes_read", kBytes, &stats_.bytes_read);
+  exports_.counter(scope, "bytes_written", kBytes, &stats_.bytes_written);
+  obs_inflight_ops_ = &m.gauge(scope, "inflight_ops", kCount);
+  obs_op_ns_ = &m.histogram(scope, "op_ns", kNanoseconds);
 }
 
 rpc::Handler NfsServer::handler() {
@@ -37,10 +36,10 @@ sim::SleepAwaiter NfsServer::charge_cpu(sim::Duration d) {
 
 sim::Coro<rpc::ReplyInfo> NfsServer::dispatch(const rpc::CallArgs& call) {
   const sim::Time t0 = sim_.now();
-  obs_.inflight_ops->set(++inflight_);
+  obs_inflight_ops_->set(++inflight_);
   rpc::ReplyInfo reply = co_await dispatch_inner(call);
-  obs_.inflight_ops->set(--inflight_);
-  obs_.op_ns->observe(sim_.now() - t0);
+  obs_inflight_ops_->set(--inflight_);
+  obs_op_ns_->observe(sim_.now() - t0);
   co_return reply;
 }
 
@@ -49,14 +48,12 @@ sim::Coro<rpc::ReplyInfo> NfsServer::dispatch_inner(
   switch (static_cast<Proc>(call.proc)) {
     case Proc::kGetattr: {
       ++stats_.getattrs;
-      obs_.getattrs->add();
       co_await charge_cpu(config_.per_op_cpu);
       co_return rpc::ReplyInfo{.reply_bytes = 96};
     }
     case Proc::kRead: {
       const auto& args = call.args_as<ReadArgs>();
       ++stats_.reads;
-      obs_.reads->add();
       const std::uint64_t size = file_size(args.fh);
       const std::uint64_t n =
           args.offset >= size
@@ -70,13 +67,11 @@ sim::Coro<rpc::ReplyInfo> NfsServer::dispatch_inner(
       }
       co_await charge_cpu(cpu);
       stats_.bytes_read += n;
-      obs_.bytes_read->add(n);
       co_return rpc::ReplyInfo{.reply_bytes = 120, .data_to_client = n};
     }
     case Proc::kWrite: {
       const auto& args = call.args_as<WriteArgs>();
       ++stats_.writes;
-      obs_.writes->add();
       sim::Duration cpu = config_.per_op_cpu;
       if (config_.chunk_bytes > 0 && args.count > 0) {
         const std::uint64_t chunks =
@@ -87,7 +82,6 @@ sim::Coro<rpc::ReplyInfo> NfsServer::dispatch_inner(
       auto& size = files_[args.fh];
       size = std::max(size, args.offset + args.count);
       stats_.bytes_written += args.count;
-      obs_.bytes_written->add(args.count);
       co_return rpc::ReplyInfo{.reply_bytes = 120};
     }
   }

@@ -90,16 +90,9 @@ class NfsServer {
   Stats stats_;
 
   // Registered metrics (docs/METRICS.md §nfs); scope "nfs-server/nfs".
-  struct Obs {
-    sim::Counter* reads;
-    sim::Counter* writes;
-    sim::Counter* getattrs;
-    sim::Counter* bytes_read;
-    sim::Counter* bytes_written;
-    sim::Gauge* inflight_ops;
-    sim::Histogram* op_ns;
-  };
-  Obs obs_;
+  sim::CounterExports exports_{sim_.metrics()};
+  sim::Gauge* obs_inflight_ops_;
+  sim::Histogram* obs_op_ns_;
   std::int64_t inflight_ = 0;
 };
 

@@ -19,7 +19,8 @@ struct RpcClient::Pending {
   ReplyInfo reply;
 };
 
-RpcClient::RpcClient(sim::Simulator& sim, NodeId lid) : sim_(sim) {
+RpcClient::RpcClient(sim::Simulator& sim, NodeId lid)
+    : exports_(sim.metrics()), sim_(sim) {
   std::snprintf(trace_tag_, sizeof(trace_tag_), "rpc-c%u", lid);
 }
 
@@ -28,8 +29,8 @@ sim::Coro<ReplyInfo> RpcClient::call(CallArgs args) {
   const sim::Time t0 = sim_.now();
   Pending p(sim_);
   pending_.emplace(xid, &p);
-  obs_.calls->add();
-  obs_.inflight->set(static_cast<std::int64_t>(pending_.size()));
+  ++calls_;
+  obs_inflight_->set(static_cast<std::int64_t>(pending_.size()));
   if (sim::FlightRecorder& fr = sim_.recorder(); fr.armed()) {
     fr.record(t0, sim::TraceKind::kRpcIssue, trace_tag_, xid, args.proc,
               args.arg_bytes + args.data_to_server);
@@ -37,8 +38,8 @@ sim::Coro<ReplyInfo> RpcClient::call(CallArgs args) {
   send(xid, args);
   co_await p.trigger.wait();
   const sim::Time elapsed = sim_.now() - t0;
-  obs_.call_ns->observe(elapsed);
-  obs_.inflight->set(static_cast<std::int64_t>(pending_.size()));
+  obs_call_ns_->observe(elapsed);
+  obs_inflight_->set(static_cast<std::int64_t>(pending_.size()));
   if (sim::FlightRecorder& fr = sim_.recorder(); fr.armed()) {
     fr.record(sim_.now(), sim::TraceKind::kRpcComplete, trace_tag_, xid,
               args.proc, static_cast<std::uint64_t>(elapsed));
@@ -57,7 +58,7 @@ void RpcClient::complete(std::uint64_t xid, const ReplyInfo& reply) {
 
 void RpcClient::fail(std::uint64_t xid) {
   if (!pending_.contains(xid)) return;
-  obs_.call_failures->add();
+  ++call_failures_;
   complete(xid, ReplyInfo{.ok = false});
 }
 

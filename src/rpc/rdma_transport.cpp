@@ -38,12 +38,10 @@ RdmaRpcServer::RdmaRpcServer(ib::Hca& hca, RdmaRpcConfig config)
   auto& m = hca_.sim().metrics();
   const std::string scope =
       "node" + std::to_string(hca_.lid()) + "/rpc.rdma";
-  using sim::MetricUnit;
-  obs_.chunks_read = &m.counter(scope, "chunks_read", MetricUnit::kCount);
-  obs_.chunks_written =
-      &m.counter(scope, "chunks_written", MetricUnit::kCount);
-  obs_.chunk_read_ns =
-      &m.histogram(scope, "chunk_read_ns", MetricUnit::kNanoseconds);
+  using enum sim::MetricUnit;
+  exports_.counter(scope, "chunks_read", kCount, &chunks_read_);
+  exports_.counter(scope, "chunks_written", kCount, &chunks_written_);
+  obs_chunk_read_ns_ = &m.histogram(scope, "chunk_read_ns", kNanoseconds);
   std::snprintf(trace_tag_, sizeof(trace_tag_), "rpc-s%u", hca_.lid());
   rcq_.set_callback([this](const ib::Cqe& e) { on_recv(e); });
   // Send completions: dispatch chunk-read completions to their waiters.
@@ -60,7 +58,7 @@ RdmaRpcServer::RdmaRpcServer(ib::Hca& hca, RdmaRpcConfig config)
       // never arrived.
       if (e.success) {
         const sim::Time elapsed = hca_.sim().now() - issued->second;
-        obs_.chunk_read_ns->observe(elapsed);
+        obs_chunk_read_ns_->observe(elapsed);
         if (sim::FlightRecorder& fr = hca_.sim().recorder(); fr.armed()) {
           fr.record(hca_.sim().now(), sim::TraceKind::kChunkComplete,
                     trace_tag_, e.wr_id, e.byte_len,
@@ -113,7 +111,7 @@ sim::Task RdmaRpcServer::serve(ib::RcQp* qp, CallMsg call) {
       const std::uint64_t wr_id = kWrReadBase + next_read_id_++;
       read_waiters_[wr_id] = wg;
       read_issued_[wr_id] = hca_.sim().now();
-      obs_.chunks_read->add();
+      ++chunks_read_;
       if (sim::FlightRecorder& fr = hca_.sim().recorder(); fr.armed()) {
         fr.record(hca_.sim().now(), sim::TraceKind::kChunkIssue,
                   trace_tag_, wr_id, n, 0);
@@ -137,7 +135,7 @@ sim::Task RdmaRpcServer::serve(ib::RcQp* qp, CallMsg call) {
     while (remaining > 0) {
       const std::uint64_t n =
           std::min<std::uint64_t>(remaining, config_.chunk_bytes);
-      obs_.chunks_written->add();
+      ++chunks_written_;
       qp->post_send(ib::SendWr{.opcode = ib::Opcode::kRdmaWrite,
                                .length = n,
                                .remote_addr = offset});
@@ -161,12 +159,11 @@ RdmaRpcClient::RdmaRpcClient(ib::Hca& hca, RdmaRpcServer& server)
   auto& m = hca.sim().metrics();
   const std::string scope =
       "node" + std::to_string(hca.lid()) + "/rpc.rdma";
-  using sim::MetricUnit;
-  obs_.calls = &m.counter(scope, "calls", MetricUnit::kCount);
-  obs_.call_failures =
-      &m.counter(scope, "call_failures", MetricUnit::kCount);
-  obs_.inflight = &m.gauge(scope, "inflight", MetricUnit::kCount);
-  obs_.call_ns = &m.histogram(scope, "call_ns", MetricUnit::kNanoseconds);
+  using enum sim::MetricUnit;
+  exports_.counter(scope, "calls", kCount, &calls_);
+  exports_.counter(scope, "call_failures", kCount, &call_failures_);
+  obs_inflight_ = &m.gauge(scope, "inflight", kCount);
+  obs_call_ns_ = &m.histogram(scope, "call_ns", kNanoseconds);
   rcq_.set_callback([this](const ib::Cqe& e) { on_recv(e); });
   // A flushed send completion means the QP exhausted its retry budget
   // (WAN severed past the IB timeout horizon): no call on this

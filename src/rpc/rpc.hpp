@@ -97,13 +97,11 @@ class RpcClient {
 
   // Registered metrics (docs/METRICS.md §rpc); each transport's
   // constructor registers them under "node<lid>/rpc.<transport>".
-  struct Obs {
-    sim::Counter* calls;
-    sim::Counter* call_failures;
-    sim::Gauge* inflight;
-    sim::Histogram* call_ns;
-  };
-  Obs obs_{};
+  std::uint64_t calls_ = 0;
+  std::uint64_t call_failures_ = 0;
+  sim::CounterExports exports_;
+  sim::Gauge* obs_inflight_ = nullptr;
+  sim::Histogram* obs_call_ns_ = nullptr;
 
  private:
   struct Pending;
@@ -130,7 +128,8 @@ class TcpRpcServer {
 
   tcp::TcpStack& stack_;
   Handler handler_;
-  sim::Counter* obs_calls_served_;  // "node<lid>/rpc.tcp" calls_served
+  std::uint64_t calls_served_ = 0;  // "node<lid>/rpc.tcp" calls_served
+  sim::CounterExports exports_{stack_.sim().metrics()};
 };
 
 class TcpRpcClient : public RpcClient {
@@ -189,12 +188,10 @@ class RdmaRpcServer {
   std::uint64_t next_read_id_ = 1;
 
   // Registered metrics (docs/METRICS.md §rpc); scope "node<lid>/rpc.rdma".
-  struct Obs {
-    sim::Counter* chunks_read;
-    sim::Counter* chunks_written;
-    sim::Histogram* chunk_read_ns;
-  };
-  Obs obs_;
+  std::uint64_t chunks_read_ = 0;
+  std::uint64_t chunks_written_ = 0;
+  sim::CounterExports exports_{hca_.sim().metrics()};
+  sim::Histogram* obs_chunk_read_ns_;
   char trace_tag_[12];  // "rpc-s<lid>"
 };
 
@@ -242,7 +239,8 @@ class SdrRpcServer {
   ib::Hca& hca_;
   Handler handler_;
   sdr::SdrEndpoint ep_;
-  sim::Counter* obs_calls_served_;  // "node<lid>/rpc.sdr" calls_served
+  std::uint64_t calls_served_ = 0;  // "node<lid>/rpc.sdr" calls_served
+  sim::CounterExports exports_{hca_.sim().metrics()};
 };
 
 class SdrRpcClient : public RpcClient {

@@ -30,9 +30,8 @@ struct SdrRpcServer::ReplyMsg {
 
 SdrRpcServer::SdrRpcServer(ib::Hca& hca, sdr::SdrConfig config)
     : hca_(hca), ep_(hca, config) {
-  obs_calls_served_ = &hca_.sim().metrics().counter(
-      "node" + std::to_string(hca_.lid()) + "/rpc.sdr", "calls_served",
-      sim::MetricUnit::kCount);
+  exports_.counter("node" + std::to_string(hca_.lid()) + "/rpc.sdr",
+                   "calls_served", sim::MetricUnit::kCount, &calls_served_);
   ep_.set_delivery_handler([this](const ib::UdDest&, std::uint64_t,
                                   const std::shared_ptr<const void>& app) {
     if (!app) return;  // not an RPC message (raw SDR traffic)
@@ -42,7 +41,7 @@ SdrRpcServer::SdrRpcServer(ib::Hca& hca, sdr::SdrConfig config)
 
 sim::Task SdrRpcServer::serve(CallMsg call) {
   assert(handler_ && "SdrRpcServer has no handler");
-  obs_calls_served_->add();
+  ++calls_served_;
   ReplyInfo reply = co_await handler_(call.args);
   auto msg = std::make_shared<ReplyMsg>();
   msg->xid = call.xid;
@@ -66,11 +65,11 @@ SdrRpcClient::SdrRpcClient(ib::Hca& hca, SdrRpcServer& server,
       server_(server.dest()) {
   auto& m = hca.sim().metrics();
   const std::string scope = "node" + std::to_string(hca.lid()) + "/rpc.sdr";
-  using sim::MetricUnit;
-  obs_.calls = &m.counter(scope, "calls", MetricUnit::kCount);
-  obs_.call_failures = &m.counter(scope, "call_failures", MetricUnit::kCount);
-  obs_.inflight = &m.gauge(scope, "inflight", MetricUnit::kCount);
-  obs_.call_ns = &m.histogram(scope, "call_ns", MetricUnit::kNanoseconds);
+  using enum sim::MetricUnit;
+  exports_.counter(scope, "calls", kCount, &calls_);
+  exports_.counter(scope, "call_failures", kCount, &call_failures_);
+  obs_inflight_ = &m.gauge(scope, "inflight", kCount);
+  obs_call_ns_ = &m.histogram(scope, "call_ns", kNanoseconds);
   ep_.set_delivery_handler([this](const ib::UdDest&, std::uint64_t,
                                   const std::shared_ptr<const void>& app) {
     if (!app) return;  // not an RPC message (raw SDR traffic)

@@ -23,9 +23,8 @@ struct Record {
 
 TcpRpcServer::TcpRpcServer(tcp::TcpStack& stack, tcp::Port port)
     : stack_(stack) {
-  obs_calls_served_ = &stack_.sim().metrics().counter(
-      "node" + std::to_string(stack_.lid()) + "/rpc.tcp", "calls_served",
-      sim::MetricUnit::kCount);
+  exports_.counter("node" + std::to_string(stack_.lid()) + "/rpc.tcp",
+                   "calls_served", sim::MetricUnit::kCount, &calls_served_);
   stack_.listen(port, [this](tcp::TcpConnection& conn) {
     conn.set_on_marker([this, &conn](std::shared_ptr<const void> marker) {
       serve(conn, std::move(marker));
@@ -38,7 +37,7 @@ sim::Task TcpRpcServer::serve(tcp::TcpConnection& conn,
   const Record& rec = *static_cast<const Record*>(marker.get());
   assert(rec.is_call);
   assert(handler_ && "TcpRpcServer has no handler");
-  obs_calls_served_->add();
+  ++calls_served_;
   ReplyInfo reply = co_await handler_(rec.args);
   auto out = std::make_shared<Record>();
   out->is_call = false;
@@ -61,12 +60,11 @@ TcpRpcClient::TcpRpcClient(tcp::TcpStack& stack, NodeId server,
   auto& m = stack.sim().metrics();
   const std::string scope =
       "node" + std::to_string(stack.lid()) + "/rpc.tcp";
-  using sim::MetricUnit;
-  obs_.calls = &m.counter(scope, "calls", MetricUnit::kCount);
-  obs_.call_failures =
-      &m.counter(scope, "call_failures", MetricUnit::kCount);
-  obs_.inflight = &m.gauge(scope, "inflight", MetricUnit::kCount);
-  obs_.call_ns = &m.histogram(scope, "call_ns", MetricUnit::kNanoseconds);
+  using enum sim::MetricUnit;
+  exports_.counter(scope, "calls", kCount, &calls_);
+  exports_.counter(scope, "call_failures", kCount, &call_failures_);
+  obs_inflight_ = &m.gauge(scope, "inflight", kCount);
+  obs_call_ns_ = &m.histogram(scope, "call_ns", kNanoseconds);
   conn_.set_on_marker([this](std::shared_ptr<const void> marker) {
     const Record& rec = *static_cast<const Record*>(marker.get());
     assert(!rec.is_call);

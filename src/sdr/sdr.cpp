@@ -82,44 +82,39 @@ SdrEndpoint::SdrEndpoint(ib::Hca& hca, SdrConfig config)
 
   auto& m = sim_.metrics();
   const std::string scope = "node" + std::to_string(hca_.lid()) + "/sdr";
-  using sim::MetricUnit;
-  obs_.msgs_sent = &m.counter(scope, "msgs_sent", MetricUnit::kMessages);
-  obs_.msgs_completed =
-      &m.counter(scope, "msgs_completed", MetricUnit::kMessages);
-  obs_.msgs_failed = &m.counter(scope, "msgs_failed", MetricUnit::kMessages);
-  obs_.data_chunks_sent =
-      &m.counter(scope, "data_chunks_sent", MetricUnit::kPackets);
-  obs_.parity_chunks_sent =
-      &m.counter(scope, "parity_chunks_sent", MetricUnit::kPackets);
-  obs_.retrans_chunks_sent =
-      &m.counter(scope, "retrans_chunks_sent", MetricUnit::kPackets);
-  obs_.chunk_bytes_sent =
-      &m.counter(scope, "chunk_bytes_sent", MetricUnit::kBytes);
-  obs_.nacks_received = &m.counter(scope, "nacks_received");
-  obs_.probes_sent = &m.counter(scope, "probes_sent");
-  obs_.data_chunks_received =
-      &m.counter(scope, "data_chunks_received", MetricUnit::kPackets);
-  obs_.parity_chunks_received =
-      &m.counter(scope, "parity_chunks_received", MetricUnit::kPackets);
-  obs_.dup_chunks = &m.counter(scope, "dup_chunks", MetricUnit::kPackets);
-  obs_.chunks_repaired =
-      &m.counter(scope, "chunks_repaired", MetricUnit::kPackets);
-  obs_.data_chunks_delivered =
-      &m.counter(scope, "data_chunks_delivered", MetricUnit::kPackets);
-  obs_.decoded_bytes = &m.counter(scope, "decoded_bytes", MetricUnit::kBytes);
-  obs_.groups_decoded = &m.counter(scope, "groups_decoded");
-  obs_.nacks_sent = &m.counter(scope, "nacks_sent");
-  obs_.dones_sent = &m.counter(scope, "dones_sent");
-  obs_.msgs_delivered =
-      &m.counter(scope, "msgs_delivered", MetricUnit::kMessages);
-  obs_.msg_bytes_delivered =
-      &m.counter(scope, "msg_bytes_delivered", MetricUnit::kBytes);
-  obs_.msgs_abandoned =
-      &m.counter(scope, "msgs_abandoned", MetricUnit::kMessages);
-  obs_.decode_ns = &m.counter(scope, "decode_ns", MetricUnit::kNanoseconds);
-  obs_.loss_ewma_ppm = &m.gauge(scope, "loss_ewma_ppm");
-  obs_.parity_level = &m.gauge(scope, "parity_level");
-  obs_.msg_ns = &m.histogram(scope, "msg_ns", MetricUnit::kNanoseconds);
+  using enum sim::MetricUnit;
+  exports_.counter(scope, "msgs_sent", kMessages, &stats_.msgs_initiated);
+  exports_.counter(scope, "msgs_completed", kMessages, &stats_.msgs_completed);
+  exports_.counter(scope, "msgs_failed", kMessages, &stats_.msgs_failed);
+  exports_.counter(scope, "data_chunks_sent", kPackets,
+                   &stats_.data_chunks_sent);
+  exports_.counter(scope, "parity_chunks_sent", kPackets,
+                   &stats_.parity_chunks_sent);
+  exports_.counter(scope, "retrans_chunks_sent", kPackets,
+                   &stats_.retrans_chunks_sent);
+  exports_.counter(scope, "chunk_bytes_sent", kBytes, &stats_.chunk_bytes_sent);
+  exports_.counter(scope, "nacks_received", kCount, &stats_.nacks_received);
+  exports_.counter(scope, "probes_sent", kCount, &stats_.probes_sent);
+  exports_.counter(scope, "data_chunks_received", kPackets,
+                   &stats_.data_chunks_received);
+  exports_.counter(scope, "parity_chunks_received", kPackets,
+                   &stats_.parity_chunks_received);
+  exports_.counter(scope, "dup_chunks", kPackets, &stats_.dup_chunks);
+  exports_.counter(scope, "chunks_repaired", kPackets, &stats_.chunks_repaired);
+  exports_.counter(scope, "data_chunks_delivered", kPackets,
+                   &stats_.data_chunks_delivered);
+  exports_.counter(scope, "decoded_bytes", kBytes, &stats_.decoded_bytes);
+  exports_.counter(scope, "groups_decoded", kCount, &stats_.groups_decoded);
+  exports_.counter(scope, "nacks_sent", kCount, &stats_.nacks_sent);
+  exports_.counter(scope, "dones_sent", kCount, &stats_.dones_sent);
+  exports_.counter(scope, "msgs_delivered", kMessages, &stats_.msgs_delivered);
+  exports_.counter(scope, "msg_bytes_delivered", kBytes,
+                   &stats_.msg_bytes_delivered);
+  exports_.counter(scope, "msgs_abandoned", kMessages, &stats_.msgs_abandoned);
+  exports_.counter(scope, "decode_ns", kNanoseconds, &stats_.decode_ns);
+  obs_loss_ewma_ppm_ = &m.gauge(scope, "loss_ewma_ppm");
+  obs_parity_level_ = &m.gauge(scope, "parity_level");
+  obs_msg_ns_ = &m.histogram(scope, "msg_ns", kNanoseconds);
 }
 
 SdrEndpoint::~SdrEndpoint() {
@@ -197,8 +192,7 @@ std::uint64_t SdrEndpoint::send(ib::UdDest dst, std::uint64_t bytes,
   m.all_enqueued = true;
 
   ++stats_.msgs_initiated;
-  obs_.msgs_sent->add();
-  obs_.parity_level->set(r);
+  obs_parity_level_->set(r);
   pump();
   return id;
 }
@@ -231,22 +225,18 @@ void SdrEndpoint::post_chunk(TxMsg& m, const TxChunk& c) {
     d->idx_in_group = static_cast<std::uint16_t>(c.chunk & 0xff);
     payload = chunk_payload_;  // parity shards are always full length
     ++stats_.parity_chunks_sent;
-    obs_.parity_chunks_sent->add();
   } else {
     d->group = c.chunk / m.k;
     d->idx_in_group = static_cast<std::uint16_t>(c.chunk % m.k);
     payload = chunk_bytes(m.bytes, c.chunk);
     if (c.retrans) {
       ++stats_.retrans_chunks_sent;
-      obs_.retrans_chunks_sent->add();
     } else {
       ++stats_.data_chunks_sent;
-      obs_.data_chunks_sent->add();
     }
   }
   const std::uint64_t wire = kSdrHeaderBytes + payload;
   stats_.chunk_bytes_sent += wire;
-  obs_.chunk_bytes_sent->add(wire);
   ++m.chunks_tx;
   ++wire_outstanding_;
   sim_.recorder().record(sim_.now(), sim::TraceKind::kSdrChunkSend,
@@ -304,7 +294,6 @@ void SdrEndpoint::probe_timer_fire(std::uint64_t msg_id) {
   d->r = m.r;
   d->scheme = cfg_.scheme;
   ++stats_.probes_sent;
-  obs_.probes_sent->add();
   sim_.recorder().record(sim_.now(), sim::TraceKind::kSdrProbe, trace_tag_,
                          msg_id, static_cast<std::uint64_t>(m.probes));
   send_ctrl(m.dst, std::move(d), kSdrCtrlBytes);
@@ -318,11 +307,9 @@ void SdrEndpoint::complete_tx(std::uint64_t msg_id, TxMsg& m, bool ok) {
   }
   if (ok) {
     ++stats_.msgs_completed;
-    obs_.msgs_completed->add();
-    obs_.msg_ns->observe(sim_.now() - m.start);
+    obs_msg_ns_->observe(sim_.now() - m.start);
   } else {
     ++stats_.msgs_failed;
-    obs_.msgs_failed->add();
   }
   const CompletionFn done = std::move(m.done);
   tx_.erase(msg_id);
@@ -335,7 +322,7 @@ void SdrEndpoint::update_loss_ewma(const TxMsg& m, std::uint64_t rx_chunks) {
                                        static_cast<double>(m.chunks_tx));
   const double loss = 1.0 - seen / static_cast<double>(m.chunks_tx);
   loss_ewma_ = (1.0 - cfg_.ewma_alpha) * loss_ewma_ + cfg_.ewma_alpha * loss;
-  obs_.loss_ewma_ppm->set(static_cast<std::int64_t>(loss_ewma_ * 1e6));
+  obs_loss_ewma_ppm_->set(static_cast<std::int64_t>(loss_ewma_ * 1e6));
 }
 
 // --- receive path ----------------------------------------------------
@@ -400,7 +387,6 @@ void SdrEndpoint::on_chunk(const RxKey& key, const SdrDatagram& d,
                            const ib::UdDest& src) {
   if (rx_done_.count(key) != 0 || rx_abandoned_.count(key) != 0) {
     ++stats_.dup_chunks;
-    obs_.dup_chunks->add();
     return;
   }
   RxMsg& m = ensure_rx(key, d, src);
@@ -418,7 +404,6 @@ void SdrEndpoint::on_chunk(const RxKey& key, const SdrDatagram& d,
       g.parity_present[d.idx_in_group] = true;
       ++g.parity_have;
       ++stats_.parity_chunks_received;
-      obs_.parity_chunks_received->add();
       fresh = true;
     }
   } else {
@@ -426,13 +411,11 @@ void SdrEndpoint::on_chunk(const RxKey& key, const SdrDatagram& d,
       g.data_present[d.idx_in_group] = true;
       ++g.data_have;
       ++stats_.data_chunks_received;
-      obs_.data_chunks_received->add();
       fresh = true;
     }
   }
   if (!fresh) {
     ++stats_.dup_chunks;
-    obs_.dup_chunks->add();
     return;
   }
   m.quiet_rounds = 0;
@@ -462,18 +445,14 @@ void SdrEndpoint::try_decode_group(const RxKey& key, RxMsg& m,
     grp.decoded = true;
     const std::uint32_t kg2 = group_k(msg, g_idx);
     stats_.chunks_repaired += missing;
-    obs_.chunks_repaired->add(missing);
     stats_.data_chunks_delivered += kg2;
-    obs_.data_chunks_delivered->add(kg2);
     std::uint64_t bytes = 0;
     for (std::uint32_t i = 0; i < kg2; ++i) {
       bytes += chunk_bytes(msg.msg_bytes, g_idx * msg.k + i);
     }
     stats_.decoded_bytes += bytes;
-    obs_.decoded_bytes->add(bytes);
     ++stats_.groups_decoded;
-    obs_.groups_decoded->add();
-    obs_.decode_ns->add(cost);
+    stats_.decode_ns += cost;
     msg.repaired += missing;
     ++msg.groups_done;
     sim_.recorder().record(sim_.now(), sim::TraceKind::kSdrRepair, trace_tag_,
@@ -488,9 +467,7 @@ void SdrEndpoint::finish_rx(const RxKey& key, RxMsg& m) {
     m.nack_armed = false;
   }
   ++stats_.msgs_delivered;
-  obs_.msgs_delivered->add();
   stats_.msg_bytes_delivered += m.msg_bytes;
-  obs_.msg_bytes_delivered->add(m.msg_bytes);
   sim_.recorder().record(sim_.now(), sim::TraceKind::kSdrMsgDone, trace_tag_,
                          key.second, m.msg_bytes, m.repaired);
   DoneInfo& info = rx_done_[key];
@@ -504,7 +481,6 @@ void SdrEndpoint::finish_rx(const RxKey& key, RxMsg& m) {
   d->rx_chunks = info.rx_chunks;
   d->repaired = info.repaired;
   ++stats_.dones_sent;
-  obs_.dones_sent->add();
   const ib::UdDest src = m.src;
   const std::uint64_t msg_bytes = m.msg_bytes;
   const std::shared_ptr<const void> app = std::move(m.app);
@@ -536,7 +512,6 @@ void SdrEndpoint::nack_timer_fire(const RxKey& key) {
   ++m.quiet_rounds;
   if (m.quiet_rounds > cfg_.max_nack_rounds) {
     ++stats_.msgs_abandoned;
-    obs_.msgs_abandoned->add();
     rx_abandoned_.insert(key);
     rx_.erase(key);
     return;
@@ -564,7 +539,6 @@ void SdrEndpoint::send_nack(const RxKey& key, RxMsg& m) {
   }
   if (d->missing.empty()) return;  // everything is decoded or decoding
   ++stats_.nacks_sent;
-  obs_.nacks_sent->add();
   sim_.recorder().record(sim_.now(), sim::TraceKind::kSdrNackSend, trace_tag_,
                          key.second, d->missing.size());
   const std::uint32_t wire =
@@ -577,7 +551,6 @@ void SdrEndpoint::on_nack(const SdrDatagram& d) {
   if (it == tx_.end() || d.missing.empty()) return;
   TxMsg& m = it->second;
   ++stats_.nacks_received;
-  obs_.nacks_received->add();
   // The receiver is alive and asking: reset the probe budget and push
   // the probe out until the repairs have drained onto the wire.
   m.probes = 0;
@@ -612,7 +585,6 @@ void SdrEndpoint::on_probe(const RxKey& key, const SdrDatagram& d,
     reply->rx_chunks = done_it->second.rx_chunks;
     reply->repaired = done_it->second.repaired;
     ++stats_.dones_sent;
-    obs_.dones_sent->add();
     send_ctrl(done_it->second.src, std::move(reply), kSdrCtrlBytes);
     return;
   }

@@ -125,6 +125,7 @@ struct SdrStats {
   std::uint64_t msgs_delivered = 0;      // lint:conserved
   std::uint64_t msg_bytes_delivered = 0;  // lint:conserved
   std::uint64_t msgs_abandoned = 0;      // lint:conserved
+  std::uint64_t decode_ns = 0;  // simulated FEC decode time
 };
 
 /// One SDR datagram's typed content, carried end-to-end through
@@ -311,34 +312,10 @@ class SdrEndpoint {
   SdrStats stats_;
 
   // Registered metrics (docs/METRICS.md §sdr); scope "node<lid>/sdr".
-  struct Obs {
-    sim::Counter* msgs_sent;
-    sim::Counter* msgs_completed;
-    sim::Counter* msgs_failed;
-    sim::Counter* data_chunks_sent;
-    sim::Counter* parity_chunks_sent;
-    sim::Counter* retrans_chunks_sent;
-    sim::Counter* chunk_bytes_sent;
-    sim::Counter* nacks_received;
-    sim::Counter* probes_sent;
-    sim::Counter* data_chunks_received;
-    sim::Counter* parity_chunks_received;
-    sim::Counter* dup_chunks;
-    sim::Counter* chunks_repaired;
-    sim::Counter* data_chunks_delivered;
-    sim::Counter* decoded_bytes;
-    sim::Counter* groups_decoded;
-    sim::Counter* nacks_sent;
-    sim::Counter* dones_sent;
-    sim::Counter* msgs_delivered;
-    sim::Counter* msg_bytes_delivered;
-    sim::Counter* msgs_abandoned;
-    sim::Counter* decode_ns;
-    sim::Gauge* loss_ewma_ppm;
-    sim::Gauge* parity_level;
-    sim::Histogram* msg_ns;
-  };
-  Obs obs_;
+  sim::CounterExports exports_{sim_.metrics()};
+  sim::Gauge* obs_loss_ewma_ppm_;
+  sim::Gauge* obs_parity_level_;
+  sim::Histogram* obs_msg_ns_;
   char trace_tag_[12];  // "sdr-<lid>"
 };
 

@@ -1,6 +1,7 @@
 #include "sim/metrics.hpp"
 
 #include <algorithm>
+#include <cstdlib>
 
 namespace ibwan::sim {
 
@@ -71,16 +72,25 @@ MetricsRegistry::Entry& MetricsRegistry::lookup(std::string_view scope,
   path.append(name);
   auto it = entries_.find(path);
   if (it != entries_.end()) {
-    assert(it->second.kind == kind && it->second.unit == unit &&
-           "metric re-registered with a different kind or unit");
-    (void)unit;
+    const Entry& e = it->second;
+    if (e.kind != kind || e.unit != unit) {
+      // Handing back the entry would read another kind's instrument at
+      // the same index, so a mismatch is fatal in every build type.
+      std::fprintf(stderr,
+                   "metric %s is registered as %s (%s) but requested as "
+                   "%s (%s)\n",
+                   path.c_str(), metric_kind_name(e.kind),
+                   metric_unit_name(e.unit), metric_kind_name(kind),
+                   metric_unit_name(unit));
+      std::abort();
+    }
     return it->second;
   }
   std::size_t index = 0;
   switch (kind) {
     case MetricKind::kCounter:
-      index = counters_.size();
-      counters_.push_back(Counter(&enabled_));
+      index = folded_.size();
+      folded_.push_back(0);
       break;
     case MetricKind::kGauge:
       index = gauges_.size();
@@ -95,9 +105,23 @@ MetricsRegistry::Entry& MetricsRegistry::lookup(std::string_view scope,
       .first->second;
 }
 
-Counter& MetricsRegistry::counter(std::string_view scope,
-                                  std::string_view name, MetricUnit unit) {
-  return counters_[lookup(scope, name, MetricKind::kCounter, unit).index];
+std::uint32_t MetricsRegistry::bind(std::string_view scope,
+                                    std::string_view name, MetricUnit unit,
+                                    const std::uint64_t* field,
+                                    std::uint32_t prev) {
+  const std::size_t counter =
+      lookup(scope, name, MetricKind::kCounter, unit).index;
+  bindings_.push_back(
+      Binding{field, static_cast<std::uint32_t>(counter), prev});
+  return static_cast<std::uint32_t>(bindings_.size() - 1);
+}
+
+void MetricsRegistry::fold(std::uint32_t last) {
+  for (std::uint32_t row = last; row != kNoRow; row = bindings_[row].prev) {
+    Binding& b = bindings_[row];
+    folded_[b.counter] += *b.field;
+    b.field = nullptr;
+  }
 }
 
 Gauge& MetricsRegistry::gauge(std::string_view scope, std::string_view name,
@@ -122,13 +146,15 @@ std::vector<MetricsRegistry::Info> MetricsRegistry::inventory() const {
 MetricsSnapshot MetricsRegistry::snapshot() const {
   MetricsSnapshot snap;
   if (!enabled_) return snap;
+  std::vector<std::uint64_t> totals = folded_;
+  for (const Binding& b : bindings_) {
+    if (b.field != nullptr) totals[b.counter] += *b.field;
+  }
   for (const auto& [path, entry] : entries_) {
     switch (entry.kind) {
-      case MetricKind::kCounter: {
-        const Counter& c = counters_[entry.index];
-        snap.counters.push_back({path, entry.unit, c.value()});
+      case MetricKind::kCounter:
+        snap.counters.push_back({path, entry.unit, totals[entry.index]});
         break;
-      }
       case MetricKind::kGauge: {
         const Gauge& g = gauges_[entry.index];
         snap.gauges.push_back({path, entry.unit, g.value(), g.max()});

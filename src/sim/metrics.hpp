@@ -2,10 +2,15 @@
 // histograms with hierarchical `<instance>/<layer>/<metric>` paths.
 //
 // Design constraints (see docs/METRICS.md for the full schema):
+//  * One count per event. A counter is a component's own std::uint64_t
+//    field (usually a member of its Stats), bound to a path through
+//    CounterExports; the registry stores no second tally, and a
+//    snapshot sums every field bound to a path.
 //  * Near-zero cost when disabled. Instruments are registered eagerly
-//    in layer constructors but every mutation is gated on a single
-//    bool owned by the registry, so a disabled run pays one predicted
-//    branch per tick and allocates nothing beyond registration.
+//    in layer constructors; gauge and histogram mutations and
+//    snapshots are gated on a single bool owned by the registry, so a
+//    disabled run pays one predicted branch per tick and allocates
+//    nothing beyond registration.
 //  * One registry per Simulator. Sweeps run one simulator per grid
 //    point on a thread pool; keeping the registry inside the
 //    simulator keeps ticks unsynchronised. Cross-run aggregation goes
@@ -42,22 +47,6 @@ enum class MetricUnit {
 
 const char* metric_kind_name(MetricKind kind);
 const char* metric_unit_name(MetricUnit unit);
-
-/// Monotonic event counter. `add` is a no-op while the owning registry
-/// is disabled.
-class Counter {
- public:
-  void add(std::uint64_t n = 1) {
-    if (*enabled_) value_ += n;
-  }
-  std::uint64_t value() const { return value_; }
-
- private:
-  friend class MetricsRegistry;
-  explicit Counter(const bool* enabled) : enabled_(enabled) {}
-  const bool* enabled_;
-  std::uint64_t value_ = 0;
-};
 
 /// Instantaneous level with a high-watermark. `set`/`add` are no-ops
 /// while the owning registry is disabled.
@@ -149,7 +138,9 @@ struct MetricsSnapshot {
 
 /// Registry of instruments for one simulator. Disabled by default;
 /// instruments registered while disabled still exist (registration is
-/// how the schema dump enumerates the namespace) but never mutate.
+/// how the schema dump enumerates the namespace). Gauges and histograms
+/// never mutate while disabled; counters are component fields and
+/// always count.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -162,9 +153,9 @@ class MetricsRegistry {
   /// Get-or-register. `scope` is `<instance>/<layer>` (e.g.
   /// "node3/ib.rc"), `name` the metric leaf. Returned references stay
   /// valid for the registry's lifetime. Re-registering an existing
-  /// path returns the same instrument; kind/unit must match.
-  Counter& counter(std::string_view scope, std::string_view name,
-                   MetricUnit unit = MetricUnit::kCount);
+  /// path returns the same instrument; a kind or unit that differs
+  /// from the first registration's aborts. Counters register through
+  /// CounterExports.
   Gauge& gauge(std::string_view scope, std::string_view name,
                MetricUnit unit = MetricUnit::kCount);
   Histogram& histogram(std::string_view scope, std::string_view name,
@@ -179,24 +170,66 @@ class MetricsRegistry {
   };
   std::vector<Info> inventory() const;
 
-  /// Sorted value copy; empty while disabled.
+  /// Sorted value copy; empty while disabled. A counter's value is
+  /// the sum of its live bound fields and of every folded binding.
   MetricsSnapshot snapshot() const;
 
  private:
+  friend class CounterExports;
   struct Entry {
     MetricKind kind;
     MetricUnit unit;
-    std::size_t index;  // into the kind-specific deque
+    std::size_t index;  // into folded_ or the kind-specific deque
   };
+  /// A field bound to counter `counter`; `prev` is the row the same
+  /// CounterExports bound before it (kNoRow ends the chain).
+  struct Binding {
+    const std::uint64_t* field;  // nullptr once folded
+    std::uint32_t counter;
+    std::uint32_t prev;
+  };
+  static constexpr std::uint32_t kNoRow = ~std::uint32_t{0};
+
   Entry& lookup(std::string_view scope, std::string_view name,
                 MetricKind kind, MetricUnit unit);
+  /// Appends a binding row chained to `prev`; returns its index.
+  std::uint32_t bind(std::string_view scope, std::string_view name,
+                     MetricUnit unit, const std::uint64_t* field,
+                     std::uint32_t prev);
+  /// Folds the chain ending at `last` into folded_.
+  void fold(std::uint32_t last);
 
   bool enabled_ = false;
   std::map<std::string, Entry, std::less<>> entries_;
+  std::vector<std::uint64_t> folded_;  // per counter: destroyed bindings
+  std::deque<Binding> bindings_;
   // Deques: stable addresses as instruments are added.
-  std::deque<Counter> counters_;
   std::deque<Gauge> gauges_;
   std::deque<Histogram> histograms_;
+};
+
+/// One component's exported counters. Each `counter()` call binds one
+/// of the component's own fields to `<scope>/<name>`; the field keeps
+/// counting whether or not the registry is enabled. Destruction folds
+/// the fields' final values into the registry, so a component that
+/// dies before the snapshot still counts. Declare the exports after
+/// the fields they bind, so the fold reads live members.
+class CounterExports {
+ public:
+  explicit CounterExports(MetricsRegistry& m) : m_(m) {}
+  ~CounterExports() { m_.fold(last_); }
+  CounterExports(const CounterExports&) = delete;
+  CounterExports& operator=(const CounterExports&) = delete;
+
+  void counter(std::string_view scope, std::string_view name,
+               MetricUnit unit, const std::uint64_t* field) {
+    last_ = m_.bind(scope, name, unit, field, last_);
+  }
+
+ private:
+  MetricsRegistry& m_;
+  // Newest binding row; each row chains to the one bound before it.
+  std::uint32_t last_ = MetricsRegistry::kNoRow;
 };
 
 /// Process-wide sink for cross-simulator aggregation (bench --metrics).

@@ -88,7 +88,8 @@ TcpConnection::TcpConnection(TcpStack& stack, NodeId peer, Port local_port,
       local_port_(local_port),
       remote_port_(remote_port),
       cfg_(cfg),
-      is_client_(is_client) {
+      is_client_(is_client),
+      exports_(stack.sim().metrics()) {
   const double mss = stack_.effective_mss(cfg_);
   cwnd_ = mss * cfg_.init_cwnd_segs;
   peer_wnd_ = cfg_.window_bytes;  // refined by the first ack received
@@ -96,24 +97,22 @@ TcpConnection::TcpConnection(TcpStack& stack, NodeId peer, Port local_port,
 
   auto& m = stack_.sim().metrics();
   const std::string scope = "node" + std::to_string(stack_.lid()) + "/tcp";
-  using sim::MetricUnit;
-  obs_.segs_sent = &m.counter(scope, "segs_sent", MetricUnit::kPackets);
-  obs_.segs_received =
-      &m.counter(scope, "segs_received", MetricUnit::kPackets);
-  obs_.acks_sent = &m.counter(scope, "acks_sent", MetricUnit::kPackets);
-  obs_.retransmits = &m.counter(scope, "retransmits", MetricUnit::kPackets);
-  obs_.fast_retransmits =
-      &m.counter(scope, "fast_retransmits", MetricUnit::kCount);
-  obs_.rto_fires = &m.counter(scope, "rto_fires", MetricUnit::kCount);
-  obs_.cwnd_stalls = &m.counter(scope, "cwnd_stalls", MetricUnit::kCount);
-  obs_.rwnd_stalls = &m.counter(scope, "rwnd_stalls", MetricUnit::kCount);
-  obs_.stall_ns = &m.counter(scope, "stall_ns", MetricUnit::kNanoseconds);
-  obs_.sack_blocks_advertised =
-      &m.counter(scope, "sack_blocks_advertised", MetricUnit::kCount);
-  obs_.sack_hole_retransmits =
-      &m.counter(scope, "sack_hole_retransmits", MetricUnit::kCount);
-  obs_.cwnd_bytes = &m.gauge(scope, "cwnd_bytes", MetricUnit::kBytes);
-  obs_.srtt_ns = &m.gauge(scope, "srtt_ns", MetricUnit::kNanoseconds);
+  using enum sim::MetricUnit;
+  exports_.counter(scope, "segs_sent", kPackets, &stats_.segs_sent);
+  exports_.counter(scope, "segs_received", kPackets, &stats_.segs_received);
+  exports_.counter(scope, "acks_sent", kPackets, &stats_.acks_sent);
+  exports_.counter(scope, "retransmits", kPackets, &stats_.retransmits);
+  exports_.counter(scope, "fast_retransmits", kCount, &stats_.fast_retransmits);
+  exports_.counter(scope, "rto_fires", kCount, &stats_.rto_fires);
+  exports_.counter(scope, "cwnd_stalls", kCount, &stats_.cwnd_stalls);
+  exports_.counter(scope, "rwnd_stalls", kCount, &stats_.rwnd_stalls);
+  exports_.counter(scope, "stall_ns", kNanoseconds, &stats_.stall_ns);
+  exports_.counter(scope, "sack_blocks_advertised", kCount,
+                   &stats_.sack_blocks_advertised);
+  exports_.counter(scope, "sack_hole_retransmits", kCount,
+                   &stats_.sack_hole_retransmits);
+  obs_cwnd_bytes_ = &m.gauge(scope, "cwnd_bytes", kBytes);
+  obs_srtt_ns_ = &m.gauge(scope, "srtt_ns", kNanoseconds);
   std::snprintf(trace_tag_, sizeof(trace_tag_), "tcp-%u-%u",
                 static_cast<unsigned>(stack_.lid()),
                 static_cast<unsigned>(local_port_));
@@ -140,7 +139,6 @@ void TcpConnection::enter_established() {
 
 void TcpConnection::on_segment(const Segment& seg) {
   ++stats_.segs_received;
-  obs_.segs_received->add();
   if (seg.syn && !seg.syn_ack) {
     // Server side: answer SYN with SYN|ACK. Data may ride later segments.
     emit(0, 0, /*syn=*/false, /*syn_ack=*/true, /*force_ack=*/false);
@@ -156,7 +154,7 @@ void TcpConnection::on_segment(const Segment& seg) {
     srtt_ns_ = sample;
     rttvar_ns_ = sample / 2;
     stats_.srtt_us = srtt_ns_ / 1000.0;
-    obs_.srtt_ns->set(static_cast<std::int64_t>(srtt_ns_));
+    obs_srtt_ns_->set(static_cast<std::int64_t>(srtt_ns_));
     rto_ = std::clamp<sim::Duration>(
         static_cast<sim::Duration>(3.0 * sample), cfg_.min_rto,
         cfg_.max_rto);
@@ -294,7 +292,7 @@ void TcpConnection::on_ack(const Segment& seg) {
         rttvar_ns_ += 0.25 * (std::abs(err) - rttvar_ns_);
       }
       stats_.srtt_us = srtt_ns_ / 1000.0;
-      obs_.srtt_ns->set(static_cast<std::int64_t>(srtt_ns_));
+      obs_srtt_ns_->set(static_cast<std::int64_t>(srtt_ns_));
       rto_ = std::clamp<sim::Duration>(
           static_cast<sim::Duration>(srtt_ns_ + 4 * rttvar_ns_),
           cfg_.min_rto, cfg_.max_rto);
@@ -317,7 +315,6 @@ void TcpConnection::on_ack(const Segment& seg) {
       if (dup_acks_ == 3) {
         // Enter fast recovery once; holes-only retransmission.
         ++stats_.fast_retransmits;
-        obs_.fast_retransmits->add();
         stack_.sim().recorder().record(stack_.sim().now(),
                                        sim::TraceKind::kFastRetransmit,
                                        trace_tag_, snd_una_);
@@ -330,7 +327,6 @@ void TcpConnection::on_ack(const Segment& seg) {
     } else if (dup_acks_ == 3) {
       // Fast retransmit; go-back-N (no SACK) with multiplicative decrease.
       ++stats_.fast_retransmits;
-      obs_.fast_retransmits->add();
       stack_.sim().recorder().record(stack_.sim().now(),
                                      sim::TraceKind::kFastRetransmit,
                                      trace_tag_, snd_una_);
@@ -353,8 +349,7 @@ void TcpConnection::retransmit_holes() {
   for (const auto& [start, end] : sacked_) {
     if (start > cursor && episode_resent_.insert(cursor).second) {
       ++stats_.retransmits;
-      obs_.retransmits->add();
-      obs_.sack_hole_retransmits->add();
+      ++stats_.sack_hole_retransmits;
       emit_range(cursor, start);
     }
     cursor = std::max(cursor, end);
@@ -371,8 +366,7 @@ void TcpConnection::retransmit_holes() {
     const std::uint64_t from =
         std::max(cursor, snd_nxt_ - std::min<std::uint64_t>(mss, snd_nxt_));
     ++stats_.retransmits;
-    obs_.retransmits->add();
-    obs_.sack_hole_retransmits->add();
+    ++stats_.sack_hole_retransmits;
     emit_range(from, snd_nxt_);
   }
 }
@@ -405,7 +399,6 @@ void TcpConnection::pump() {
     // never hold here: the ack path clamps snd_nxt_ up to snd_una_.)
     if (snd_nxt_ < rewind_high_) {
       ++stats_.retransmits;
-      obs_.retransmits->add();
     }
     snd_nxt_ += len;
     arm_rto();
@@ -419,16 +412,16 @@ void TcpConnection::pump() {
     stalled_ = true;
     stall_since_ = stack_.sim().now();
     const bool rwnd_limited = static_cast<double>(peer_wnd_) < cwnd_;
-    (rwnd_limited ? obs_.rwnd_stalls : obs_.cwnd_stalls)->add();
+    ++(rwnd_limited ? stats_.rwnd_stalls : stats_.cwnd_stalls);
     stack_.sim().recorder().record(
         stack_.sim().now(),
         rwnd_limited ? sim::TraceKind::kRwndStall : sim::TraceKind::kCwndStall,
         trace_tag_, static_cast<std::uint64_t>(cwnd_), peer_wnd_);
   } else if (!blocked && stalled_) {
     stalled_ = false;
-    obs_.stall_ns->add(stack_.sim().now() - stall_since_);
+    stats_.stall_ns += stack_.sim().now() - stall_since_;
   }
-  obs_.cwnd_bytes->set(static_cast<std::int64_t>(cwnd_));
+  obs_cwnd_bytes_->set(static_cast<std::int64_t>(cwnd_));
 }
 
 void TcpConnection::emit(std::uint64_t seq, std::uint32_t len, bool syn,
@@ -449,7 +442,6 @@ void TcpConnection::emit(std::uint64_t seq, std::uint32_t len, bool syn,
     if (offset > seq) seg.markers.emplace_back(offset, marker);
   }
   ++stats_.segs_sent;
-  obs_.segs_sent->add();
   if (len > 0) {
     // Data segments piggyback the current ack state.
     unacked_segs_ = 0;
@@ -463,7 +455,6 @@ void TcpConnection::emit(std::uint64_t seq, std::uint32_t len, bool syn,
 
 void TcpConnection::send_pure_ack() {
   ++stats_.acks_sent;
-  obs_.acks_sent->add();
   unacked_segs_ = 0;
   if (dack_armed_) {
     stack_.sim().cancel(dack_timer_);
@@ -484,7 +475,7 @@ void TcpConnection::send_pure_ack() {
       if (++n > 3) break;
       seg.sack_blocks.emplace_back(start, end);
     }
-    obs_.sack_blocks_advertised->add(seg.sack_blocks.size());
+    stats_.sack_blocks_advertised += seg.sack_blocks.size();
   }
   stack_.transmit(peer_, seg);
 }
@@ -507,7 +498,6 @@ void TcpConnection::arm_syn_retry() {
   syn_timer_ = stack_.sim().schedule(rto_, [this] {
     if (established_) return;
     ++stats_.retransmits;
-    obs_.retransmits->add();
     emit(0, 0, /*syn=*/true, /*syn_ack=*/false, /*force_ack=*/false);
     rto_ = std::min<sim::Duration>(rto_ * 2, cfg_.max_rto);
     arm_syn_retry();
@@ -532,7 +522,6 @@ void TcpConnection::disarm_rto() {
 void TcpConnection::on_rto() {
   if (snd_nxt_ <= snd_una_) return;  // nothing outstanding
   ++stats_.rto_fires;
-  obs_.rto_fires->add();
   stack_.sim().recorder().record(stack_.sim().now(), sim::TraceKind::kTcpRto,
                                  trace_tag_, snd_una_);
   const double mss = stack_.effective_mss(cfg_);

@@ -78,6 +78,13 @@ class TcpConnection {
     std::uint64_t retransmits = 0;
     std::uint64_t rto_fires = 0;
     std::uint64_t fast_retransmits = 0;
+    /// Sender stalls on an exhausted window, split by which limit bound
+    /// (cwnd or the peer's rwnd), and the simulated time spent stalled.
+    std::uint64_t cwnd_stalls = 0;
+    std::uint64_t rwnd_stalls = 0;
+    std::uint64_t stall_ns = 0;
+    std::uint64_t sack_blocks_advertised = 0;
+    std::uint64_t sack_hole_retransmits = 0;  // also in retransmits
     double srtt_us = 0;
   };
 
@@ -195,22 +202,9 @@ class TcpConnection {
   Stats stats_;
 
   // Registered metrics (docs/METRICS.md §tcp); scope "node<lid>/tcp".
-  struct Obs {
-    sim::Counter* segs_sent;
-    sim::Counter* segs_received;
-    sim::Counter* acks_sent;
-    sim::Counter* retransmits;
-    sim::Counter* fast_retransmits;
-    sim::Counter* rto_fires;
-    sim::Counter* cwnd_stalls;
-    sim::Counter* rwnd_stalls;
-    sim::Counter* stall_ns;
-    sim::Counter* sack_blocks_advertised;
-    sim::Counter* sack_hole_retransmits;
-    sim::Gauge* cwnd_bytes;
-    sim::Gauge* srtt_ns;
-  };
-  Obs obs_;
+  sim::CounterExports exports_;
+  sim::Gauge* obs_cwnd_bytes_;
+  sim::Gauge* obs_srtt_ns_;
   char trace_tag_[15];  // "tcp-<lid>-<port>"
   // Sender-stall tracking: stalled whenever queued app data cannot move
   // because min(cwnd, peer window) is exhausted (fig6's WAN bottleneck).

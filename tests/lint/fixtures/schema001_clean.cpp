@@ -18,9 +18,18 @@ struct RegC2 {
                     sim_fix::MetricUnit unit);
 };
 
-void register_good(RegC& m, RegC2& m2, const char* node_prefix) {
+// A component's field exports: the bound field rides as a fourth
+// argument after the unit.
+struct ExportsC {
+  void counter(const char* scope, const char* name, sim_fix::MetricUnit unit,
+               const unsigned long* field);
+};
+
+void register_good(RegC& m, RegC2& m2, ExportsC& exports,
+                   const unsigned long* field, const char* node_prefix) {
   const char* scope = "node7/fix.layer";
   m.counter(scope, "good_metric");
   m2.counter(scope, "good_bytes", sim_fix::kBytes);
+  exports.counter(scope, "good_metric", sim_fix::kCount, field);
   (void)node_prefix;
 }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <string>
 
@@ -10,7 +11,9 @@ namespace {
 
 TEST(Metrics, ScopedNamesFormHierarchicalPaths) {
   MetricsRegistry m;
-  m.counter("node3/ib.rc", "msgs_sent", MetricUnit::kMessages);
+  std::uint64_t msgs = 0;
+  CounterExports exports(m);
+  exports.counter("node3/ib.rc", "msgs_sent", MetricUnit::kMessages, &msgs);
   m.gauge("wan-a2b/net.link", "queued_bytes", MetricUnit::kBytes);
   m.histogram("node3/ib.rc", "ack_ns", MetricUnit::kNanoseconds);
 
@@ -20,35 +23,93 @@ TEST(Metrics, ScopedNamesFormHierarchicalPaths) {
   EXPECT_EQ(inv[0].path, "node3/ib.rc/ack_ns");
   EXPECT_EQ(inv[0].kind, MetricKind::kHistogram);
   EXPECT_EQ(inv[1].path, "node3/ib.rc/msgs_sent");
+  EXPECT_EQ(inv[1].kind, MetricKind::kCounter);
   EXPECT_EQ(inv[1].unit, MetricUnit::kMessages);
   EXPECT_EQ(inv[2].path, "wan-a2b/net.link/queued_bytes");
 }
 
 TEST(Metrics, ReRegistrationReturnsTheSameInstrument) {
+  // Two components on one node (say two QPs) bind their own fields to
+  // one path: one instrument, whose value is the sum of both fields.
   MetricsRegistry m;
   m.set_enabled(true);
-  Counter& a = m.counter("node0/tcp", "segs_sent", MetricUnit::kPackets);
-  Counter& b = m.counter("node0/tcp", "segs_sent", MetricUnit::kPackets);
-  EXPECT_EQ(&a, &b);
-  a.add(2);
-  b.add(3);
-  EXPECT_EQ(a.value(), 5u);
+  std::uint64_t a = 0, b = 0;
+  CounterExports ea(m), eb(m);
+  ea.counter("node0/tcp", "segs_sent", MetricUnit::kPackets, &a);
+  eb.counter("node0/tcp", "segs_sent", MetricUnit::kPackets, &b);
+  a += 2;
+  b += 3;
   EXPECT_EQ(m.inventory().size(), 1u);
+  const MetricsSnapshot snap = m.snapshot();
+  ASSERT_EQ(snap.counters.size(), 1u);
+  EXPECT_EQ(snap.counters[0].value, 5u);
+  EXPECT_EQ(&m.gauge("n/l", "g"), &m.gauge("n/l", "g"));
+}
+
+TEST(Metrics, DestroyedBindingStillCounts) {
+  // Objects often die before the snapshot (bench-local QPs, RPC
+  // objects): destroying the exports folds their final values in.
+  MetricsRegistry m;
+  m.set_enabled(true);
+  std::uint64_t live = 4;
+  CounterExports keep(m);
+  keep.counter("n/l", "c", MetricUnit::kCount, &live);
+  for (std::uint64_t n : {10u, 20u}) {
+    std::uint64_t field = n;
+    CounterExports gone(m);
+    gone.counter("n/l", "c", MetricUnit::kCount, &field);
+    gone.counter("n/l", "d", MetricUnit::kCount, &field);
+  }
+  live = 5;
+  const MetricsSnapshot snap = m.snapshot();
+  ASSERT_EQ(snap.counters.size(), 2u);
+  EXPECT_EQ(snap.counters[0].path, "n/l/c");
+  EXPECT_EQ(snap.counters[0].value, 35u);
+  EXPECT_EQ(snap.counters[1].path, "n/l/d");
+  EXPECT_EQ(snap.counters[1].value, 30u);
+}
+
+TEST(Metrics, KindOrUnitMismatchAbortsInEveryBuild) {
+  // Handing back the entry would alias another kind's instrument at the
+  // same index, so the check must not compile out with NDEBUG.
+  EXPECT_DEATH(
+      {
+        MetricsRegistry m;
+        std::uint64_t x = 0;
+        CounterExports e(m);
+        e.counter("n/l", "x", MetricUnit::kCount, &x);
+        m.histogram("n/l", "h");
+        m.histogram("n/l", "x");
+      },
+      "metric n/l/x is registered as counter \\(count\\) but requested "
+      "as histogram \\(count\\)");
+  EXPECT_DEATH(
+      {
+        MetricsRegistry m;
+        std::uint64_t x = 0;
+        CounterExports e(m);
+        e.counter("n/l", "x", MetricUnit::kCount, &x);
+        e.counter("n/l", "x", MetricUnit::kBytes, &x);
+      },
+      "metric n/l/x is registered as counter \\(count\\) but requested "
+      "as counter \\(bytes\\)");
 }
 
 TEST(Metrics, DisabledModeHasZeroSideEffects) {
   MetricsRegistry m;
   ASSERT_FALSE(m.enabled());  // disabled is the default
-  Counter& c = m.counter("n/l", "c");
+  std::uint64_t field = 0;
+  CounterExports exports(m);
+  exports.counter("n/l", "c", MetricUnit::kCount, &field);
   Gauge& g = m.gauge("n/l", "g");
   Histogram& h = m.histogram("n/l", "h", MetricUnit::kNanoseconds);
 
-  c.add(7);
+  field += 7;
   g.set(42);
   g.add(5);
   h.observe(1000);
 
-  EXPECT_EQ(c.value(), 0u);
+  EXPECT_EQ(field, 7u);  // a counter is the component's field: it counts
   EXPECT_EQ(g.value(), 0);
   EXPECT_EQ(g.max(), 0);
   EXPECT_EQ(h.count(), 0u);
@@ -61,17 +122,19 @@ TEST(Metrics, DisabledModeHasZeroSideEffects) {
 TEST(Metrics, SnapshotIsAnIsolatedValueCopy) {
   MetricsRegistry m;
   m.set_enabled(true);
-  Counter& c = m.counter("n/l", "c");
+  std::uint64_t c = 0;
+  CounterExports exports(m);
+  exports.counter("n/l", "c", MetricUnit::kCount, &c);
   Gauge& g = m.gauge("n/l", "g");
   Histogram& h = m.histogram("n/l", "h");
-  c.add(10);
+  c += 10;
   g.set(4);
   g.set(2);  // high-watermark stays at 4
   h.observe(8);
 
   const MetricsSnapshot snap = m.snapshot();
   // Mutations after the snapshot must not leak into it.
-  c.add(100);
+  c += 100;
   g.set(99);
   h.observe(1 << 20);
 
@@ -90,9 +153,11 @@ TEST(Metrics, MergeSumsCountersMaxesGaugesAddsBins) {
   MetricsRegistry m1, m2;
   m1.set_enabled(true);
   m2.set_enabled(true);
-  m1.counter("a/l", "c").add(3);
-  m2.counter("a/l", "c").add(4);
-  m2.counter("b/l", "only_in_second").add(1);
+  std::uint64_t c1 = 3, c2 = 4, only = 1;
+  CounterExports e1(m1), e2(m2);
+  e1.counter("a/l", "c", MetricUnit::kCount, &c1);
+  e2.counter("a/l", "c", MetricUnit::kCount, &c2);
+  e2.counter("b/l", "only_in_second", MetricUnit::kCount, &only);
   m1.gauge("a/l", "g").set(10);
   m2.gauge("a/l", "g").set(7);
   m1.histogram("a/l", "h").observe(100);
@@ -144,7 +209,9 @@ std::string slurp(std::FILE* f) {
 TEST(Metrics, JsonExportCarriesSchemaIdAndRows) {
   MetricsRegistry m;
   m.set_enabled(true);
-  m.counter("node0/ib.rc", "msgs_sent", MetricUnit::kMessages).add(5);
+  std::uint64_t msgs = 5;
+  CounterExports exports(m);
+  exports.counter("node0/ib.rc", "msgs_sent", MetricUnit::kMessages, &msgs);
   m.histogram("node0/ib.rc", "ack_ns", MetricUnit::kNanoseconds)
       .observe(4096);
 
@@ -164,7 +231,9 @@ TEST(Metrics, JsonExportCarriesSchemaIdAndRows) {
 TEST(Metrics, CsvExportHasTheDocumentedHeader) {
   MetricsRegistry m;
   m.set_enabled(true);
-  m.counter("n/l", "c").add(1);
+  std::uint64_t c = 1;
+  CounterExports exports(m);
+  exports.counter("n/l", "c", MetricUnit::kCount, &c);
   std::FILE* f = std::tmpfile();
   ASSERT_NE(f, nullptr);
   m.snapshot().write_csv(f);
@@ -185,7 +254,9 @@ TEST(Metrics, AggregatorAbsorbsAcrossRegistries) {
   for (int run = 0; run < 2; ++run) {
     MetricsRegistry m;
     m.set_enabled(true);
-    m.counter("n/l", "c").add(static_cast<std::uint64_t>(run) + 1);
+    const std::uint64_t c = static_cast<std::uint64_t>(run) + 1;
+    CounterExports exports(m);
+    exports.counter("n/l", "c", MetricUnit::kCount, &c);
     agg.absorb(m.snapshot());
   }
   const MetricsSnapshot merged = agg.merged();
