@@ -13,16 +13,14 @@ namespace {
 
 double throughput(bool sack, double loss, sim::Duration delay,
                   std::uint64_t bytes, std::uint64_t seed) {
-  // Built directly (not via Testbed): loss injection is a fabric-build
-  // parameter.
-  sim::Simulator sim;
-  sim.seed(seed);
+  // Loss injection is a fabric-build parameter, so the testbed is built
+  // from the loss-carrying two-site topology.
   net::FabricConfig fc = core::fabric_defaults(1, 1);
   fc.longbow.loss_rate = loss;
-  net::Fabric fabric(sim, fc);
-  fabric.set_wan_delay(delay);
-  ib::Hca hca_a(fabric.node(0), {});
-  ib::Hca hca_b(fabric.node(1), {});
+  const net::TopologyConfig topo = net::to_topology(fc);
+  core::Testbed tb({.topology = &topo, .wan_delay = delay, .seed = seed});
+  ib::Hca hca_a(tb.fabric().node(tb.node_a()), {});
+  ib::Hca hca_b(tb.fabric().node(tb.node_b()), {});
   ipoib::IpoibDevice dev_a(hca_a, {});
   ipoib::IpoibDevice dev_b(hca_b, {});
   ipoib::IpoibDevice::link(dev_a, dev_b);
@@ -31,13 +29,14 @@ double throughput(bool sack, double loss, sim::Duration delay,
   tcp::TcpStack client(dev_a, cfg);
   tcp::TcpStack server(dev_b, cfg);
   server.listen(5001, [](tcp::TcpConnection&) {});
-  tcp::TcpConnection& c = client.connect(1, 5001);
+  tcp::TcpConnection& c = client.connect(tb.node_b(), 5001);
   c.send(bytes);
   sim::Time done = 0;
+  sim::Simulator& client_sim = tb.sim_a();
   c.set_on_acked([&](std::uint64_t acked) {
-    if (acked == bytes) done = sim.now();
+    if (acked == bytes) done = client_sim.now();
   });
-  sim.run();
+  tb.run();
   return static_cast<double>(bytes) / sim::to_seconds(done) / 1e6;
 }
 

@@ -194,14 +194,10 @@ class SweepRunner {
  public:
   explicit SweepRunner(int threads = default_threads()) : threads_(threads) {}
 
-  /// Pool size: IBWAN_THREADS if set, else hardware concurrency.
+  /// Pool size: IBWAN_THREADS if set, else hardware concurrency. It
+  /// never affects CSV bytes: rows merge in grid order.
   static int default_threads() {
-    // NOLINT-IBWAN(DET001): pool size never affects CSV bytes (rows
-    // merge in grid order); read once before workers start
-    if (const char* env = std::getenv("IBWAN_THREADS")) {
-      const int n = std::atoi(env);
-      if (n > 0) return n;
-    }
+    if (const int n = core::pdes_threads(); n > 0) return n;
     const unsigned hw = std::thread::hardware_concurrency();
     return hw != 0 ? static_cast<int>(hw) : 1;
   }

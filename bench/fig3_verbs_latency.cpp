@@ -23,10 +23,11 @@ double through_longbows(Transport t, Op op, std::uint32_t size, int iters) {
 }
 
 double back_to_back(Transport t, Op op, std::uint32_t size, int iters) {
-  sim::Simulator sim;
-  net::Fabric fabric(sim, {.nodes_a = 1, .nodes_b = 1, .back_to_back = true});
-  return ib::perftest::run_latency(fabric, 0, 1, t, op,
-                                   {.msg_size = size, .iterations = iters})
+  const net::TopologyConfig topo = net::to_topology(
+      {.nodes_a = 1, .nodes_b = 1, .back_to_back = true});
+  core::Testbed tb({.topology = &topo});
+  return ib::perftest::run_latency(tb.fabric(), tb.node_a(), tb.node_b(), t,
+                                   op, {.msg_size = size, .iterations = iters})
       .avg_us;
 }
 

@@ -7,10 +7,6 @@
 // engine (std::function + std::priority_queue + tombstone set), reports
 // events/sec for each, and writes BENCH_sim_core.json.
 //
-// Pass --gbench to run the google-benchmark micro suite instead (event
-// scheduling, link packet delivery, RC message transfer); remaining
-// arguments are forwarded to google-benchmark.
-//
 // Pass --pdes to run the site-parallel scaling suite instead: heavy
 // scenarios (NAS kernels at 2 x 16 ranks, the WAN KV service, an RC
 // incast on a 4-site hub/spoke graph, quorum-replicated KV serving on
@@ -18,8 +14,8 @@
 // topology site), reporting wall-clock speedup and asserting the
 // simulated results and event counts match exactly. Writes
 // BENCH_pdes.json.
-#include <benchmark/benchmark.h>
-
+//
+// Any other argument is a usage error (exit 2).
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -598,84 +594,17 @@ int run_pdes_suite() {
   return exact_failures == 0 ? 0 : 1;
 }
 
-// ---------------------------------------------------------------------------
-// google-benchmark micro suite (run with --gbench).
-// ---------------------------------------------------------------------------
-
-void BM_EventSchedule(benchmark::State& state) {
-  sim::Simulator sim;
-  std::uint64_t executed = 0;
-  for (auto _ : state) {
-    for (int i = 0; i < 1024; ++i) {
-      sim.schedule(static_cast<sim::Duration>(i % 97), [&] { ++executed; });
-    }
-    sim.run();
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(executed));
-}
-BENCHMARK(BM_EventSchedule);
-
-void BM_LinkPacketDelivery(benchmark::State& state) {
-  sim::Simulator sim;
-  net::Link link(sim, {.bytes_per_ns = 1.0, .propagation = 100}, "bench");
-  std::uint64_t delivered = 0;
-  link.set_sink([&](net::Packet&&) { ++delivered; });
-  for (auto _ : state) {
-    for (int i = 0; i < 1024; ++i) {
-      net::Packet p;
-      p.wire_size = 2048;
-      link.send(std::move(p));
-    }
-    sim.run();
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(delivered));
-}
-BENCHMARK(BM_LinkPacketDelivery);
-
-void BM_RcMessageTransfer(benchmark::State& state) {
-  const auto msg_size = static_cast<std::uint64_t>(state.range(0));
-  sim::Simulator sim;
-  net::Fabric fabric(sim, {.nodes_a = 1, .nodes_b = 1});
-  ib::Hca ha(fabric.node(0), {});
-  ib::Hca hb(fabric.node(1), {});
-  ib::Cq scq(sim), rcq(sim), scq2(sim), rcq2(sim);
-  ib::RcQp& qa = ha.create_rc_qp(scq, rcq);
-  ib::RcQp& qb = hb.create_rc_qp(scq2, rcq2);
-  qa.connect(hb.lid(), qb.qpn());
-  qb.connect(ha.lid(), qa.qpn());
-  std::uint64_t bytes = 0;
-  for (auto _ : state) {
-    qb.post_recv(ib::RecvWr{});
-    qa.post_send(ib::SendWr{.length = msg_size});
-    sim.run();
-    bytes += msg_size;
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(bytes));
-}
-BENCHMARK(BM_RcMessageTransfer)->Arg(2048)->Arg(65536)->Arg(1 << 20);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool gbench = false;
   bool pdes = false;
-  std::vector<char*> fwd;
-  fwd.push_back(argv[0]);
   for (int i = 1; i < argc; ++i) {
-    if (std::string_view(argv[i]) == "--gbench") {
-      gbench = true;
-    } else if (std::string_view(argv[i]) == "--pdes") {
-      pdes = true;
-    } else {
-      fwd.push_back(argv[i]);
+    if (std::string_view(argv[i]) != "--pdes") {
+      std::fprintf(stderr, "unknown argument '%s' (accepted: --pdes)\n",
+                   argv[i]);
+      return 2;
     }
+    pdes = true;
   }
-  if (pdes) return run_pdes_suite();
-  if (!gbench) return run_mix_suite();
-  int fwd_argc = static_cast<int>(fwd.size());
-  benchmark::Initialize(&fwd_argc, fwd.data());
-  if (benchmark::ReportUnrecognizedArguments(fwd_argc, fwd.data())) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  return pdes ? run_pdes_suite() : run_mix_suite();
 }

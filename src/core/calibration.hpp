@@ -34,10 +34,6 @@ constexpr double km_for_delay(sim::Duration d) {
   return static_cast<double>(d) / 1000.0 / kDelayUsPerKm;
 }
 
-/// The paper's emulated-delay grid: 0 us .. 10 ms (0 .. 2000 km).
-inline constexpr sim::Duration kDelayGrid[] = {
-    0, 10'000, 100'000, 1'000'000, 10'000'000};
-
 /// Fabric with the testbed's rates: DDR hosts, SDR WAN, ~5 us Longbows.
 inline net::FabricConfig fabric_defaults(int nodes_a, int nodes_b) {
   net::FabricConfig cfg;
@@ -51,9 +47,6 @@ inline net::FabricConfig fabric_defaults(int nodes_a, int nodes_b) {
   cfg.longbow.base_propagation = 500;
   return cfg;
 }
-
-/// HCA defaults are in ib::HcaConfig itself; re-exported for visibility.
-inline ib::HcaConfig hca_defaults() { return {}; }
 
 /// The NFS/RDMA server posts deep chunk-write queues (knfsd keeps many
 /// RPCs in flight); its HCA sustains more in-flight messages than the

@@ -2,8 +2,6 @@
 
 #include <cassert>
 
-#include "sim/log.hpp"
-
 namespace ibwan::ib {
 
 struct CmAgent::CmMad {

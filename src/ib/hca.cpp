@@ -3,8 +3,6 @@
 #include <cassert>
 #include <utility>
 
-#include "sim/log.hpp"
-
 namespace ibwan::ib {
 
 Hca::Hca(net::Node& node, HcaConfig config)
@@ -95,8 +93,6 @@ void Hca::on_node_packet(net::Packet&& p) {
     auto it = qp_index_.find(payload->dst_qpn);
     if (it == qp_index_.end()) {
       ++stats_.pkts_unroutable;
-      IBWAN_WARN(sim().now(), "hca", "lid=%u: packet for unknown qpn=%u",
-                 lid(), payload->dst_qpn);
       return;
     }
     it->second->handle_packet(*payload, src);

@@ -5,7 +5,6 @@
 
 #include "ib/hca.hpp"
 #include "ib/qp.hpp"
-#include "sim/log.hpp"
 
 namespace ibwan::ib {
 
@@ -254,8 +253,6 @@ void RcQp::arm_rto() {
       enter_error();
       return;
     }
-    IBWAN_WARN(hca_.sim().now(), "rc-qp", "qpn=%u RTO, resend from psn=%llu",
-               qpn_, static_cast<unsigned long long>(snd_una_));
     retransmit_from(snd_una_);
     arm_rto();
   });
@@ -286,9 +283,6 @@ void RcQp::enter_error() {
                                     pending_atomics_.size();
   hca_.sim().recorder().record(hca_.sim().now(), sim::TraceKind::kQpError,
                                trace_tag_, snd_una_, outstanding);
-  IBWAN_WARN(hca_.sim().now(), "rc-qp",
-             "qpn=%u retry count exhausted, flushing %llu WQEs", qpn_,
-             static_cast<unsigned long long>(outstanding));
   disarm_rto();
   // Flush every requester-side WQE with an error completion, oldest
   // first. Atomics complete through pending_atomics_ (their inflight/SQ
@@ -368,8 +362,6 @@ void RcQp::send_read_request(const SendWr& wr, int retries) {
           enter_error();
           return;
         }
-        IBWAN_WARN(hca_.sim().now(), "rc-qp", "qpn=%u read retry wr=%llu",
-                   qpn_, static_cast<unsigned long long>(wr.wr_id));
         // Re-send the request and re-arm by replacing the entry.
         p.retry_timer = 0;
         pending_reads_.erase(

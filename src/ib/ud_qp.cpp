@@ -4,7 +4,6 @@
 
 #include "ib/hca.hpp"
 #include "ib/qp.hpp"
-#include "sim/log.hpp"
 
 namespace ibwan::ib {
 
@@ -59,8 +58,6 @@ void UdQp::handle_packet(const IbPacket& pkt, Lid src_lid) {
   if (rq_.empty()) {
     // No receive posted: the HCA silently drops the datagram.
     ++stats_.datagrams_dropped_no_recv;
-    IBWAN_DEBUG(hca_.sim().now(), "ud-qp", "qpn=%u drop (no recv posted)",
-                qpn_);
     return;
   }
   const RecvWr r = rq_.front();

@@ -3,8 +3,6 @@
 #include <cassert>
 #include <utility>
 
-#include "sim/log.hpp"
-
 namespace ibwan::ipoib {
 
 IpoibDevice::IpoibDevice(ib::Hca& hca, IpoibConfig config)
@@ -84,8 +82,6 @@ void IpoibDevice::post_to_fabric(const IpPacket& pkt) {
     auto it = neighbors_.find(pkt.dst);
     if (it == neighbors_.end()) {
       ++stats_.tx_no_neighbor;
-      IBWAN_WARN(sim().now(), "ipoib", "lid=%u no neighbor for dst=%u",
-                 lid(), pkt.dst);
       return;
     }
     ud_qp_->post_send(wr, ib::UdDest{pkt.dst, it->second});
@@ -93,8 +89,6 @@ void IpoibDevice::post_to_fabric(const IpPacket& pkt) {
     auto it = peers_.find(pkt.dst);
     if (it == peers_.end()) {
       ++stats_.tx_no_neighbor;
-      IBWAN_WARN(sim().now(), "ipoib", "lid=%u not connected to dst=%u",
-                 lid(), pkt.dst);
       return;
     }
     it->second->post_send(wr);

@@ -7,8 +7,6 @@
 #include <cstdlib>
 #include <utility>
 
-#include "sim/log.hpp"
-
 namespace ibwan::mpi {
 
 // ---------------------------------------------------------------------------

@@ -64,11 +64,11 @@ class Fabric {
   /// channels (one per direction). The conservative lookahead is the
   /// minimum one-way latency any cross-LP WAN edge can impose. The
   /// partition must be exact — one engine site per topology site.
-  /// Configs the partition cannot support — a mismatched engine size,
-  /// back-to-back, or flat WAN loss (which draws from the main RNG at
-  /// serialization time and therefore needs one global stream) — land
-  /// entirely on engine site 0 and run_all() degenerates to the
-  /// sequential path.
+  /// Configs the partition cannot support — a mismatched engine size or
+  /// back-to-back — land entirely on engine site 0 and run_all()
+  /// degenerates to the sequential path. Flat WAN loss partitions like
+  /// any other config: each link draws from its own `<link>/loss`
+  /// stream.
   Fabric(sim::SiteEngine& engine, const FabricConfig& config);
   Fabric(sim::SiteEngine& engine, const TopologyConfig& topo);
 

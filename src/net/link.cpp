@@ -5,8 +5,6 @@
 #include <memory>
 #include <utility>
 
-#include "sim/log.hpp"
-
 namespace ibwan::net {
 
 using sim::TraceKind;
@@ -53,8 +51,6 @@ bool Link::send(Packet&& p) {
     }
     sim_.recorder().record(sim_.now(), TraceKind::kPktDrop, name_.c_str(),
                            p.id, p.wire_size, /*c=*/1);
-    IBWAN_WARN(sim_.now(), name_.c_str(), "buffer drop pkt=%llu size=%u",
-               static_cast<unsigned long long>(p.id), p.wire_size);
     return false;
   }
   queued_bytes_ += p.wire_size;
@@ -73,15 +69,11 @@ void Link::set_down(bool down) {
     down_since_ = sim_.now();
     sim_.recorder().record(sim_.now(), TraceKind::kLinkDown, name_.c_str(),
                            queued_bytes_);
-    IBWAN_WARN(sim_.now(), name_.c_str(), "link down (%llu bytes queued)",
-               static_cast<unsigned long long>(queued_bytes_));
   } else {
     const sim::Duration outage = sim_.now() - down_since_;
     stats_.down_ns += outage;
     sim_.recorder().record(sim_.now(), TraceKind::kLinkUp, name_.c_str(),
                            outage);
-    IBWAN_WARN(sim_.now(), name_.c_str(), "link up after %llu ns",
-               static_cast<unsigned long long>(outage));
     if (!busy_) start_next();
   }
 }

@@ -5,8 +5,6 @@
 #include <memory>
 #include <utility>
 
-#include "sim/log.hpp"
-
 namespace ibwan::net {
 
 void Switch::receive_wan(int edge, Packet&& p) {
@@ -36,17 +34,6 @@ void Switch::receive(Packet&& p) {
   if (auto it = routes_.find(p.dst); it != routes_.end()) port = it->second;
   if (port < 0 || port >= static_cast<int>(ports_.size())) {
     ++drops_no_route_;
-    if (drops_no_route_ <= kNoRouteWarnLimit) {
-      IBWAN_WARN(sim_.now(), name_.c_str(), "no route for dst=%u, dropping%s",
-                 p.dst,
-                 drops_no_route_ == kNoRouteWarnLimit
-                     ? " (further no-route warnings rate-limited)"
-                     : "");
-    } else if ((drops_no_route_ & (drops_no_route_ - 1)) == 0) {
-      IBWAN_WARN(sim_.now(), name_.c_str(),
-                 "%llu no-route drops so far (warnings rate-limited)",
-                 static_cast<unsigned long long>(drops_no_route_));
-    }
     return;
   }
   ++forwarded_;

@@ -59,8 +59,7 @@ class Switch {
 
   const std::string& name() const { return name_; }
   std::uint64_t forwarded() const { return forwarded_; }
-  /// Packets dropped for lack of a usable route — exact, regardless of
-  /// warning rate limiting.
+  /// Packets dropped for lack of a usable route.
   std::uint64_t drops_no_route() const { return drops_no_route_; }
 
  private:
@@ -77,11 +76,6 @@ class Switch {
   // (receive + receive_wan); written only by switch.cpp (INV001).
   std::uint64_t forwarded_ = 0;       // lint:conserved
   std::uint64_t drops_no_route_ = 0;  // lint:conserved
-  /// First kNoRouteWarnLimit no-route drops warn individually; after
-  /// that only power-of-two drop counts emit a suppressed-count summary,
-  /// so a misrouted incast logs O(log drops) lines instead of one per
-  /// packet.
-  static constexpr std::uint64_t kNoRouteWarnLimit = 8;
   /// Switch hops are always site-local, so unlike Link there is no
   /// channel-mode exclusion.
   PacketPool pkt_pool_{64};

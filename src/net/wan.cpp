@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "net/faults.hpp"
-#include "sim/log.hpp"
 
 namespace ibwan::net {
 
@@ -12,7 +11,6 @@ void Longbow::forward(Packet&& p, Link* out) {
     ++drops_no_port_;
     sim_.recorder().record(sim_.now(), sim::TraceKind::kPktDrop,
                            name_.c_str(), p.id, p.wire_size, /*c=*/5);
-    IBWAN_WARN(sim_.now(), name_.c_str(), "port not connected, dropping");
     return;
   }
   ++pkts_forwarded_;

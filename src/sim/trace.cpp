@@ -5,13 +5,6 @@
 namespace ibwan::sim {
 
 namespace {
-// The armed recorder acting as this thread's IBWAN_TRACE sink. Sweeps
-// run one simulator per worker thread, so thread-local keeps
-// concurrently armed recorders independent.
-// NOLINT-IBWAN(CONC003): thread_local by design — one recorder per
-// worker thread is exactly the per-LP isolation the rule wants
-thread_local FlightRecorder* t_sink = nullptr;
-
 void copy_padded(char* dst, std::size_t cap, const char* src) {
   std::size_t i = 0;
   if (src)
@@ -56,48 +49,29 @@ const char* trace_kind_name(TraceKind kind) {
     case TraceKind::kSdrRepair: return "sdr-repair";
     case TraceKind::kSdrMsgDone: return "sdr-msg-done";
     case TraceKind::kSdrProbe: return "sdr-probe";
-    case TraceKind::kLog: return "log";
   }
   return "?";
 }
 
 std::string TraceEvent::format() const {
   char buf[160];
-  if (kind == TraceKind::kLog) {
-    std::snprintf(buf, sizeof(buf), "[%12.3fus] %-15s %s: %s",
-                  to_microseconds(time), trace_kind_name(kind), tag, text);
-  } else {
-    std::snprintf(buf, sizeof(buf),
-                  "[%12.3fus] %-15s %s: a=%llu b=%llu c=%llu",
-                  to_microseconds(time), trace_kind_name(kind), tag,
-                  static_cast<unsigned long long>(a),
-                  static_cast<unsigned long long>(b),
-                  static_cast<unsigned long long>(c));
-  }
+  std::snprintf(buf, sizeof(buf), "[%12.3fus] %-15s %s: a=%llu b=%llu c=%llu",
+                to_microseconds(time), trace_kind_name(kind), tag,
+                static_cast<unsigned long long>(a),
+                static_cast<unsigned long long>(b),
+                static_cast<unsigned long long>(c));
   return buf;
 }
 
 FlightRecorder::FlightRecorder(std::size_t capacity)
     : capacity_(std::max<std::size_t>(capacity, 1)) {}
 
-FlightRecorder::~FlightRecorder() {
-  if (armed_) disarm();
-}
-
 void FlightRecorder::arm() {
-  if (armed_) return;
   if (ring_.empty()) ring_.resize(capacity_);
   armed_ = true;
-  prev_sink_ = t_sink;
-  t_sink = this;
 }
 
-void FlightRecorder::disarm() {
-  if (!armed_) return;
-  armed_ = false;
-  if (t_sink == this) t_sink = prev_sink_;
-  prev_sink_ = nullptr;
-}
+void FlightRecorder::disarm() { armed_ = false; }
 
 void FlightRecorder::set_capacity(std::size_t capacity) {
   capacity_ = std::max<std::size_t>(capacity, 1);
@@ -107,36 +81,19 @@ void FlightRecorder::set_capacity(std::size_t capacity) {
   recorded_ = 0;
 }
 
-TraceEvent& FlightRecorder::next_slot() {
-  TraceEvent& slot = ring_[head_];
-  head_ = (head_ + 1) % capacity_;
-  ++recorded_;
-  return slot;
-}
-
 void FlightRecorder::record(Time now, TraceKind kind, const char* tag,
                             std::uint64_t a, std::uint64_t b,
                             std::uint64_t c) {
   if (!armed_) return;
-  TraceEvent& e = next_slot();
+  TraceEvent& e = ring_[head_];
+  head_ = (head_ + 1) % capacity_;
+  ++recorded_;
   e.time = now;
   e.kind = kind;
   e.a = a;
   e.b = b;
   e.c = c;
   copy_padded(e.tag, sizeof(e.tag), tag);
-  e.text[0] = '\0';
-}
-
-void FlightRecorder::record_text(Time now, const char* tag,
-                                 const char* text) {
-  if (!armed_) return;
-  TraceEvent& e = next_slot();
-  e.time = now;
-  e.kind = TraceKind::kLog;
-  e.a = e.b = e.c = 0;
-  copy_padded(e.tag, sizeof(e.tag), tag);
-  copy_padded(e.text, sizeof(e.text), text);
 }
 
 std::size_t FlightRecorder::size() const {
@@ -166,13 +123,5 @@ void FlightRecorder::clear() {
   head_ = 0;
   recorded_ = 0;
 }
-
-bool trace_capture_active() { return t_sink != nullptr; }
-
-namespace detail {
-void route_trace_log(Time now, const char* tag, const char* text) {
-  if (t_sink) t_sink->record_text(now, tag, text);
-}
-}  // namespace detail
 
 }  // namespace ibwan::sim

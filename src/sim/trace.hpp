@@ -2,11 +2,9 @@
 // events, stamped with simulated time.
 //
 // The recorder is owned by the Simulator (one per run) and is off
-// ("disarmed") by default: an unarmed record() is a single branch.
-// When armed it also registers itself as the thread-local sink for
-// IBWAN_TRACE log lines, so kTrace-level logging is captured even
-// when the process log level would suppress it (see docs/METRICS.md
-// §flight recorder and the README debugging section).
+// ("disarmed") by default: an unarmed record() is a single branch
+// (see docs/METRICS.md §flight recorder and the README debugging
+// section).
 #pragma once
 
 #include <cstdint>
@@ -63,8 +61,6 @@ enum class TraceKind : std::uint8_t {
   kSdrRepair,      // a=msg id, b=group index, c=chunks repaired by parity
   kSdrMsgDone,     // a=msg id, b=message bytes, c=chunks repaired
   kSdrProbe,       // a=msg id, b=probe ordinal
-  // free-form (routed IBWAN_TRACE log lines)
-  kLog,
 };
 
 const char* trace_kind_name(TraceKind kind);
@@ -78,7 +74,6 @@ struct TraceEvent {
   std::uint64_t c = 0;
   TraceKind kind{};
   char tag[15] = {};
-  char text[32] = {};  // only for kLog
 
   std::string format() const;  // one dump line, no newline
 };
@@ -88,13 +83,11 @@ class FlightRecorder {
   static constexpr std::size_t kDefaultCapacity = 4096;
 
   explicit FlightRecorder(std::size_t capacity = kDefaultCapacity);
-  ~FlightRecorder();
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
-  /// Arm: start recording and become the thread-local IBWAN_TRACE
-  /// sink (nesting restores the previous sink on disarm). Ring
-  /// storage is allocated lazily on first arm.
+  /// Arm: start recording. Ring storage is allocated lazily on first
+  /// arm.
   void arm();
   void disarm();
   bool armed() const { return armed_; }
@@ -105,7 +98,6 @@ class FlightRecorder {
 
   void record(Time now, TraceKind kind, const char* tag, std::uint64_t a = 0,
               std::uint64_t b = 0, std::uint64_t c = 0);
-  void record_text(Time now, const char* tag, const char* text);
 
   /// Events currently held, oldest first (at most capacity()).
   std::vector<TraceEvent> events() const;
@@ -119,23 +111,11 @@ class FlightRecorder {
   void clear();
 
  private:
-  TraceEvent& next_slot();
-
   std::vector<TraceEvent> ring_;
   std::size_t capacity_;
   std::size_t head_ = 0;  // next write position
   std::uint64_t recorded_ = 0;
   bool armed_ = false;
-  FlightRecorder* prev_sink_ = nullptr;  // restored on disarm
 };
-
-/// True when some recorder on this thread is armed — log_enabled()
-/// uses this to let IBWAN_TRACE lines through at low log levels.
-bool trace_capture_active();
-
-namespace detail {
-/// Route one formatted kTrace log line into the armed recorder.
-void route_trace_log(Time now, const char* tag, const char* text);
-}  // namespace detail
 
 }  // namespace ibwan::sim

@@ -6,8 +6,6 @@
 #include <string>
 #include <utility>
 
-#include "sim/log.hpp"
-
 namespace ibwan::tcp {
 
 // ---------------------------------------------------------------------------
@@ -61,8 +59,6 @@ void TcpStack::on_ip(ipoib::IpPacket&& pkt) {
       listeners_[seg.dst_port](ref);
       return;
     }
-    IBWAN_DEBUG(sim().now(), "tcp", "lid=%u no connection for %u<-%u:%u",
-                lid(), seg.dst_port, pkt.src, seg.src_port);
     return;
   }
   it->second->on_segment(seg);

@@ -65,8 +65,7 @@ TEST(Switch, NoRouteDropCounterStaysExactPastWarnLimit) {
   Link out(sim, {.bytes_per_ns = 1.0}, "out");
   out.set_sink([](Packet&&) {});
   sw.set_route(1, sw.add_port(&out));
-  // Far past the rate-limited warning window: the counter must stay
-  // exact even once per-drop logging is suppressed.
+  // A misrouted burst: the counter records every drop, not a sample.
   constexpr int kDrops = 100;
   for (int i = 0; i < kDrops; ++i) {
     Packet p;

@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "sim/log.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
 
@@ -37,46 +36,6 @@ TEST(FlightRecorder, RingWrapsKeepingTheNewestEvents) {
     EXPECT_EQ(evs[i].a, i + 2);
     EXPECT_EQ(evs[i].time, static_cast<Time>((i + 2) * 10));
   }
-}
-
-TEST(FlightRecorder, ArmMakesKTraceCaptureActiveAndRoutesLogLines) {
-  ASSERT_FALSE(trace_capture_active());
-  const LogLevel prev = log_level();
-  set_log_level(LogLevel::kOff);  // nothing reaches stderr
-
-  FlightRecorder fr(16);
-  fr.arm();
-  EXPECT_TRUE(trace_capture_active());
-  // Routed through the thread-local sink even though the process
-  // threshold would suppress the line entirely.
-  IBWAN_TRACE(Time{12'345}, "rc-qp0", "psn=%d resent", 7);
-  fr.disarm();
-  set_log_level(prev);
-
-  EXPECT_FALSE(trace_capture_active());
-  ASSERT_EQ(fr.size(), 1u);
-  const TraceEvent ev = fr.events()[0];
-  EXPECT_EQ(ev.kind, TraceKind::kLog);
-  EXPECT_EQ(ev.time, 12'345u);
-  EXPECT_STREQ(ev.tag, "rc-qp0");
-  EXPECT_NE(std::string(ev.text).find("psn=7"), std::string::npos);
-}
-
-TEST(FlightRecorder, NestedArmRestoresThePreviousSink) {
-  FlightRecorder outer(8), inner(8);
-  outer.arm();
-  inner.arm();
-  detail::route_trace_log(1, "t", "inner line");
-  inner.disarm();
-  detail::route_trace_log(2, "t", "outer line");
-  outer.disarm();
-
-  ASSERT_EQ(inner.size(), 1u);
-  EXPECT_NE(std::string(inner.events()[0].text).find("inner"),
-            std::string::npos);
-  ASSERT_EQ(outer.size(), 1u);
-  EXPECT_NE(std::string(outer.events()[0].text).find("outer"),
-            std::string::npos);
 }
 
 TEST(FlightRecorder, SetCapacityClearsAndResizes) {

@@ -194,8 +194,8 @@ _EFFECT_CALLS = {
     "schedule", "schedule_at", "cancel", "fire", "resume", "trace",
     "record", "observe", "emit", "printf", "fprintf", "fputs", "fputc",
     "fwrite", "puts", "putc", "putchar", "write_csv", "write_json",
-    "add_row", "append_row", "IBWAN_TRACE", "log_line", "flush_wqe",
-    "post_send", "post_recv", "deliver", "send", "complete", "fail",
+    "add_row", "append_row", "flush_wqe", "post_send", "post_recv",
+    "deliver", "send", "complete", "fail",
 }
 _EFFECT_PUNCT = {"<<"}  # stream output
 
